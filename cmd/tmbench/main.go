@@ -16,11 +16,7 @@
 // producers go idle on a plain channel with wake scans still pending so
 // only the CoalesceMaxDelay age backstop can wake the sleeping consumers;
 // p99 sleep-to-signal latency must land within the bound plus slack),
-// runs the commit-clock sweep (the tight-loop and bounded-buffer
-// workloads on the STM engines at 8/16/32 goroutines under every
-// Config.ClockMode protocol — global fetch-and-add, pass-on-CAS-failure,
-// deferred — measuring commits/sec and shared clock-word operations per
-// commit), and writes one machine-readable JSON report (schema
+// and writes one machine-readable JSON report (schema
 // tmsync-bench/1; see README "Benchmark pipeline").
 //
 // Usage:
@@ -30,7 +26,6 @@
 //	go run ./cmd/tmbench -workloads buffer -mechs retry    # narrow the axes
 //	go run ./cmd/tmbench -diff BENCH_PR6.json              # trajectory diff vs a prior report
 //	go run ./cmd/tmbench -max-delay 10ms                   # tighter wake-latency bound
-//	go run ./cmd/tmbench -clock-threads 8,16,32            # commit-clock scaling rungs
 //
 // The trajectory diff defaults to the previous PR's committed report and
 // is skipped with a note when that file is absent; an explicitly named
@@ -76,8 +71,6 @@ func main() {
 	latencyThreadsFlag := flag.String("latency-threads", "8", "goroutine counts for the wake-latency sweep (empty = skip)")
 	maxDelay := flag.Duration("max-delay", 0, "CoalesceMaxDelay for the wake-latency cells (0 = default 25ms)")
 	latencyRounds := flag.Int("latency-rounds", 0, "burst/claim hand-offs per lane in the wake-latency cells (0 = default)")
-	clockThreadsFlag := flag.String("clock-threads", "8,16,32", "goroutine counts for the commit-clock sweep (empty = skip)")
-	clockModesFlag := flag.String("clock-modes", "", "comma-separated ClockMode protocols for the clock cells (default global,pof,deferred; global is always included)")
 	noBaseline := flag.Bool("no-baseline", false, "skip the Pthreads lock+condvar baseline rows")
 	quick := flag.Bool("quick", false, "reduced operation counts (CI and smoke tests)")
 	out := flag.String("out", "BENCH_PR9.json", "output path for the JSON report")
@@ -109,11 +102,7 @@ func main() {
 		LatencyThreads:     parseInts(*latencyThreadsFlag, "latency-threads"),
 		LatencyMaxDelay:    *maxDelay,
 		LatencyRounds:      *latencyRounds,
-		ClockThreads:       parseInts(*clockThreadsFlag, "clock-threads"),
 		Baseline:           !*noBaseline,
-	}
-	if *clockModesFlag != "" {
-		o.ClockModes = strings.Split(*clockModesFlag, ",")
 	}
 	if *enginesFlag != "" {
 		o.Engines = strings.Split(*enginesFlag, ",")
@@ -210,8 +199,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("benchmark report: %d points + %d stripe-sweep points + %d orig-sweep points + %d adaptive points + %d coalesce points + %d latency points + %d clock points -> %s\n",
-		len(rep.Points), len(rep.StripeSweep), len(rep.OrigSweep), len(rep.AdaptiveSweep), len(rep.CoalesceSweep), len(rep.LatencySweep), len(rep.ClockSweep), *out)
+	fmt.Printf("benchmark report: %d points + %d stripe-sweep points + %d orig-sweep points + %d adaptive points + %d coalesce points + %d latency points -> %s\n",
+		len(rep.Points), len(rep.StripeSweep), len(rep.OrigSweep), len(rep.AdaptiveSweep), len(rep.CoalesceSweep), len(rep.LatencySweep), *out)
 	if v := rep.StripeVerdict; v != nil {
 		fmt.Printf("stripe sweep (%s, %d goroutines): wakeup checks per commit %.2f @ %d stripe(s) vs %.2f @ %d stripes\n",
 			v.Workload, v.Threads, v.WakeupsPerCommitLow, v.LowStripes, v.WakeupsPerCommitHigh, v.HighStripes)
@@ -271,24 +260,6 @@ func main() {
 			fmt.Println("latency verdict: HOLDS (no waiter sleeps past the age bound while its notifier idles)")
 		} else {
 			fmt.Println("latency verdict: did not hold on this run")
-		}
-	}
-	if v := rep.ClockVerdict; v != nil {
-		fmt.Printf("clock sweep (%d goroutines, modes %s):\n", v.Threads, strings.Join(v.Modes, ","))
-		if v.BestMode == "" {
-			fmt.Println("clock verdict: only the global mode was measured; nothing to compare")
-		} else {
-			fmt.Printf("  tightloop commits/sec: global %.0f vs %s %.0f (improved: %v)\n",
-				v.TightloopCommitsPerSecGlobal, v.BestMode, v.TightloopCommitsPerSecBest, v.TightloopImproved)
-			fmt.Printf("  buffer    commits/sec: global %.0f vs %s %.0f (improved: %v)\n",
-				v.BufferCommitsPerSecGlobal, v.BestMode, v.BufferCommitsPerSecBest, v.BufferImproved)
-			fmt.Printf("  clock-word ops/commit: global %.4f vs %s %.4f (reduced: %v)\n",
-				v.ClockOpsPerCommitGlobal, v.TrafficMode, v.ClockOpsPerCommitTraffic, v.TrafficReduced)
-			if v.Improved {
-				fmt.Printf("clock verdict: IMPROVED (%s commits faster than the global clock on both workloads; %s issues less clock-word traffic)\n", v.BestMode, v.TrafficMode)
-			} else {
-				fmt.Println("clock verdict: no improvement measured on this run")
-			}
 		}
 	}
 	if prior != nil {

@@ -16,8 +16,7 @@
 //	go run ./cmd/tmcheck -n 15 -adaptive        # forced online stripe resizes (1->4->64->16)
 //	go run ./cmd/tmcheck -n 15 -coalesce 8      # cross-commit wakeup coalescing (flush every 8)
 //	go run ./cmd/tmcheck -n 15 -coalesce 8 -max-delay 2ms  # with the age-bound flush armed
-//	go run ./cmd/tmcheck -n 15 -clock pof       # GV4 pass-on-CAS-failure commit clock
-//	go run ./cmd/tmcheck -n 15 -clock deferred -ext  # GV5-style deferred clock + timestamp extension
+//	go run ./cmd/tmcheck -n 15 -ext             # timestamp extension in the software TMs
 //	go run ./cmd/tmcheck -n 20 -zipf 1.2        # Zipf-skewed key contention
 //	go run ./cmd/tmcheck -n 20 -read-mostly     # read-mostly long transactions
 //	go run ./cmd/tmcheck -n 10 -phases 20:counters,20:readmostly,10:map  # phase-shifting mix
@@ -29,8 +28,7 @@
 // schedule, -resize-every modifies only -adaptive, -unbatched
 // (signal-at-claim delivery) contradicts -coalesce (a deferred scan IS a
 // batch carried across commits), -max-delay ages the pending buffer
-// -coalesce maintains, so it requires -coalesce and a positive duration,
-// and -clock must name a known commit-clock mode (global, pof, deferred).
+// -coalesce maintains, so it requires -coalesce and a positive duration.
 // -replay reruns committed traces, so it contradicts every flag that
 // shapes generation (-seed, -n, -threads, -ops, -zipf, -read-mostly,
 // -phases, -inject, -parsec, -record); knob flags remain allowed and
@@ -51,7 +49,6 @@ import (
 	"strings"
 	"time"
 
-	"tmsync/internal/clock"
 	"tmsync/internal/harness"
 	"tmsync/internal/locktable"
 	"tmsync/internal/mech"
@@ -72,8 +69,7 @@ func main() {
 	unbatched := flag.Bool("unbatched", false, "signal-at-claim wakeup delivery instead of the per-commit batch; must yield identical outcomes")
 	coalesce := flag.Int("coalesce", 0, "cross-commit wakeup coalescing: defer post-commit wake scans across up to this many adjacent commits per thread (0 = scan every commit); must yield identical outcomes")
 	maxDelay := flag.Duration("max-delay", 0, "age bound on the coalesced pending buffer (with -coalesce): flush deferred wake scans older than this, including by the idle-owner backstop; must yield identical outcomes")
-	clockMode := flag.String("clock", "", "commit-clock mode for every system: global (default), pof (pass-on-CAS-failure), or deferred (no per-commit clock bump); a pure timestamp-protocol knob, so outcomes must be identical")
-	ext := flag.Bool("ext", false, "enable the eager engine's timestamp extension (read-time snapshot extension; other engines ignore it); must yield identical outcomes")
+	ext := flag.Bool("ext", false, "enable read-time timestamp extension in the software TMs (eager, lazy, and the hybrid's software mode; hardware attempts ignore it); must yield identical outcomes")
 	only := flag.String("mech", "", "restrict to one mechanism (default: all applicable)")
 	parsec := flag.Bool("parsec", false, "check the eight PARSEC skeletons instead of random scenarios")
 	scale := flag.Int("scale", 1, "PARSEC workload scale (with -parsec)")
@@ -127,9 +123,6 @@ func main() {
 	if *zipf < 0 {
 		fail("-zipf %g must be >= 0", *zipf)
 	}
-	if _, err := clock.ParseMode(*clockMode); err != nil {
-		fail("-clock: %v", err)
-	}
 	for _, genFlag := range []string{"zipf", "read-mostly", "phases", "record"} {
 		if explicit[genFlag] && *parsec {
 			// The PARSEC skeletons are fixed workloads: nothing to skew,
@@ -172,7 +165,7 @@ func main() {
 		engines = []string{*engine}
 	}
 
-	knobs := harness.Knobs{Stripes: *stripes, Unbatched: *unbatched, CoalesceCommits: *coalesce, CoalesceMaxDelay: *maxDelay, ClockMode: *clockMode, TimestampExtension: *ext}
+	knobs := harness.Knobs{Stripes: *stripes, Unbatched: *unbatched, CoalesceCommits: *coalesce, CoalesceMaxDelay: *maxDelay, TimestampExtension: *ext}
 	if *adaptive {
 		// The forced schedule drives the stripe count through growth,
 		// large jumps, and shrinkage (1 -> 4 -> 64 -> 16, cycling) while
@@ -295,9 +288,6 @@ func main() {
 			}
 			if explicit["max-delay"] {
 				k.CoalesceMaxDelay = *maxDelay
-			}
-			if explicit["clock"] {
-				k.ClockMode = *clockMode
 			}
 			if explicit["ext"] {
 				k.TimestampExtension = *ext

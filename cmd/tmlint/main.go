@@ -4,7 +4,7 @@
 // no blocking inside transactions, monotonic measurement timing,
 // cache-line padding, and nil-guarded hooks — plus the flow-sensitive
 // clock–version protocol checks built on internal/lint/flow (bumporder,
-// commitstamp, extrecheck, lockverflow), which machine-check the
+// commitstamp, extrecheck), which machine-check the
 // serializability invariants the commit/rollback/extension paths rest
 // on.
 //

@@ -26,7 +26,6 @@ import (
 	"sort"
 	"time"
 
-	"tmsync/internal/clock"
 	"tmsync/internal/core"
 	"tmsync/internal/htm"
 	"tmsync/internal/hybrid"
@@ -80,18 +79,11 @@ type Knobs struct {
 	// observable outcomes — the property tmcheck -adaptive checks.
 	ResizeEvery    int
 	ResizeSchedule []int
-	// ClockMode selects the commit-timestamp protocol
-	// (tm.Config.ClockMode): "" or "global", "pof", "deferred". Another
-	// pure performance knob — every mode must yield identical observable
-	// outcomes, which tmcheck -clock checks across all engines and
-	// mechanisms.
-	ClockMode string
 	// TimestampExtension enables read-time snapshot extension
 	// (tm.Config.TimestampExtension) in the software TMs — eager, lazy,
 	// and the hybrid's software mode; hardware attempts and the HTM
-	// engine ignore it. Pairs naturally with the deferred clock, which
-	// turns most too-new aborts into in-place extensions. Observably
-	// inert like the rest.
+	// engine ignore it. Observably inert like the rest, which tmcheck
+	// -ext checks.
 	TimestampExtension bool
 }
 
@@ -104,9 +96,6 @@ func NewSystem(engine string) (*tm.System, error) {
 
 // NewSystemKnobs is NewSystem with explicit performance knobs.
 func NewSystemKnobs(engine string, k Knobs) (*tm.System, error) {
-	if _, err := clock.ParseMode(k.ClockMode); err != nil {
-		return nil, fmt.Errorf("harness: %v", err)
-	}
 	cfg := tm.Config{
 		Stripes:            k.Stripes,
 		UnbatchedWakeups:   k.Unbatched,
@@ -117,7 +106,6 @@ func NewSystemKnobs(engine string, k Knobs) (*tm.System, error) {
 		AdaptWindow:        k.AdaptWindow,
 		ResizeEvery:        k.ResizeEvery,
 		ResizeSchedule:     k.ResizeSchedule,
-		ClockMode:          k.ClockMode,
 		TimestampExtension: k.TimestampExtension,
 	}
 	var sys *tm.System

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"tmsync/internal/clock"
 	"tmsync/internal/mech"
 	"tmsync/internal/mono"
 	"tmsync/internal/trace"
@@ -103,9 +102,6 @@ func EncodeKnobs(k Knobs) string {
 		}
 		add("resize-schedule", strings.Join(ss, ","))
 	}
-	if k.ClockMode != "" {
-		add("clock", k.ClockMode)
-	}
 	if k.TimestampExtension {
 		add("ext", "1")
 	}
@@ -161,10 +157,6 @@ func DecodeKnobs(s string) (Knobs, error) {
 					return Knobs{}, fmt.Errorf("knob resize-schedule: %q is not a positive integer", f)
 				}
 				k.ResizeSchedule = append(k.ResizeSchedule, n)
-			}
-		case "clock":
-			if _, err = clock.ParseMode(val); err == nil {
-				k.ClockMode = val
 			}
 		case "ext":
 			if val != "1" {

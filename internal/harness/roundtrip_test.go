@@ -11,6 +11,7 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"tmsync/internal/mech"
@@ -123,8 +124,12 @@ func TestKnobsStampRoundTrip(t *testing.T) {
 	if got := EncodeKnobs(dec); got != enc {
 		t.Fatalf("knob stamp not a fixed point: %q -> %q", enc, got)
 	}
-	if _, err := DecodeKnobs("coalesce=2 bogus-knob=1"); err == nil {
-		t.Error("unknown knob decoded without error")
+	// clock= stamped the retired commit-clock modes; such a trace must
+	// not silently replay under a different protocol.
+	for _, stamp := range []string{"coalesce=2 bogus-knob=1", "clock=global"} {
+		if _, err := DecodeKnobs(stamp); err == nil || !strings.Contains(err.Error(), "unknown knob") {
+			t.Errorf("DecodeKnobs(%q) = %v, want an unknown-knob error", stamp, err)
+		}
 	}
 	if _, err := DecodeKnobs("coalesce"); err == nil {
 		t.Error("malformed knob decoded without error")

@@ -155,11 +155,6 @@ func (e *Engine) Read(tx *tm.Tx, addr *uint64) uint64 {
 	val := atomic.LoadUint64(addr)
 	w2 := e.sys.Table.Get(idx)
 	if w1 != w2 || locktable.Locked(w1) || locktable.Version(w1) > tx.Start {
-		if w1 == w2 && !locktable.Locked(w1) {
-			// Keep a deferred clock moving so the re-executed attempt
-			// starts late enough to read this version.
-			e.sys.Clock.NoteStale(locktable.Version(w1))
-		}
 		tx.Thr.HWActive.Store(false)
 		tx.Abort(tm.AbortConflict)
 	}
@@ -230,18 +225,14 @@ func (e *Engine) Commit(tx *tm.Tx) {
 			continue
 		}
 		w := e.sys.Table.Get(idx)
-		//tm:lock-acquire
 		if locktable.Locked(w) || !e.sys.Table.CAS(idx, w, locktable.LockedBy(t.ID, locktable.Version(w))) {
 			t.HWActive.Store(false)
 			tx.Abort(tm.AbortConflict)
 		}
-		if v := locktable.Version(w); v > tx.MaxLockVer {
-			tx.MaxLockVer = v
-		}
 		tx.Locks = append(tx.Locks, idx)
 		tx.NoteWriteStripe(idx)
 	}
-	end, exclusive := e.sys.Clock.Commit(tx.Start, tx.MaxLockVer)
+	end, exclusive := e.sys.Clock.Commit(tx.Start, 0)
 	if !exclusive && !e.validateReads(tx) {
 		t.HWActive.Store(false)
 		tx.Abort(tm.AbortConflict)
@@ -291,8 +282,7 @@ func (e *Engine) validateReads(tx *tm.Tx) bool {
 			if locktable.Owner(w) != tx.Thr.ID || locktable.Version(w) > tx.Start {
 				return false
 			}
-		} else if v := locktable.Version(w); v > tx.Start {
-			e.sys.Clock.NoteStale(v)
+		} else if locktable.Version(w) > tx.Start {
 			return false
 		}
 	}
@@ -325,9 +315,9 @@ func (e *Engine) Rollback(tx *tm.Tx) {
 	if len(tx.Locks) == 0 {
 		return
 	}
-	// Bump before releasing: under global/pof the republished versions
-	// must already be covered by the clock when they become visible, or
-	// a concurrent Commit could hand the same version out again.
+	// Bump before releasing: the republished versions must already be
+	// covered by the clock when they become visible, or a concurrent
+	// Commit could hand the same version out again.
 	e.sys.Clock.Bump()
 	for _, idx := range tx.Locks {
 		w := e.sys.Table.Get(idx)

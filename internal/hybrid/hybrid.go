@@ -93,14 +93,10 @@ func (e *Engine) sampleRead(tx *tm.Tx, addr *uint64, extend bool) (uint64, uint3
 		if v <= tx.Start {
 			return val, idx, v
 		}
-		// Keep a deferred clock moving so the extension (or the
-		// re-executed attempt) starts late enough to read this version.
-		e.sys.Clock.NoteStale(v)
 		// After a successful extension the consistent sample (val, v) is
 		// still current iff the extended start covers v and the orec is
-		// unchanged. The v <= tx.Start recheck is load-bearing: under
-		// global/pof a rollback can republish a version the clock has
-		// not reached yet, so the extended start may still predate v.
+		// unchanged. The v <= tx.Start recheck is load-bearing: the
+		// extension validates the read set, not the sample in hand.
 		// The word recheck is sound because versions strictly increase
 		// across lock cycles (clock.Source invariant), so an equal word
 		// means no intervening commit.
@@ -118,8 +114,9 @@ func (e *Engine) sampleRead(tx *tm.Tx, addr *uint64, extend bool) (uint64, uint3
 // tryExtend implements timestamp extension for software attempts: if
 // every prior read's orec still carries the exact version observed at
 // read time, the snapshot is valid at the current clock, so the start
-// time advances instead of aborting on a too-new read. Exact-match is
-// what keeps this sound under shared and deferred timestamps.
+// time advances instead of aborting on a too-new read. The comparison
+// is exact because a version that merely stayed <= the new start could
+// still have been republished by an intervening commit.
 //
 //tm:extend
 func (e *Engine) tryExtend(tx *tm.Tx) bool {
@@ -212,20 +209,16 @@ func (e *Engine) Commit(tx *tm.Tx) {
 			continue
 		}
 		w := e.sys.Table.Get(idx)
-		//tm:lock-acquire
 		if locktable.Locked(w) || !e.sys.Table.CAS(idx, w, locktable.LockedBy(t.ID, locktable.Version(w))) {
 			if hw {
 				t.HWActive.Store(false)
 			}
 			tx.Abort(tm.AbortConflict)
 		}
-		if v := locktable.Version(w); v > tx.MaxLockVer {
-			tx.MaxLockVer = v
-		}
 		tx.Locks = append(tx.Locks, idx)
 		tx.NoteWriteStripe(idx)
 	}
-	end, exclusive := e.sys.Clock.Commit(tx.Start, tx.MaxLockVer)
+	end, exclusive := e.sys.Clock.Commit(tx.Start, 0)
 	if !exclusive && !e.validateReads(tx) {
 		if hw {
 			t.HWActive.Store(false)
@@ -280,8 +273,7 @@ func (e *Engine) validateReads(tx *tm.Tx) bool {
 			if locktable.Owner(w) != tx.Thr.ID || locktable.Version(w) > tx.Start {
 				return false
 			}
-		} else if v := locktable.Version(w); v > tx.Start {
-			e.sys.Clock.NoteStale(v)
+		} else if locktable.Version(w) > tx.Start {
 			return false
 		}
 	}
@@ -300,9 +292,9 @@ func (e *Engine) Rollback(tx *tm.Tx) {
 	if len(tx.Locks) == 0 {
 		return
 	}
-	// Bump before releasing: under global/pof the republished versions
-	// must already be covered by the clock when they become visible, or
-	// a concurrent Commit could hand the same version out again.
+	// Bump before releasing: the republished versions must already be
+	// covered by the clock when they become visible, or a concurrent
+	// Commit could hand the same version out again.
 	e.sys.Clock.Bump()
 	for _, idx := range tx.Locks {
 		w := e.sys.Table.Get(idx)

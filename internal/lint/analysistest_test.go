@@ -101,7 +101,6 @@ func TestLockOrderFixture(t *testing.T)       { runFixture(t, LockOrder, "lockor
 func TestBumpOrderFixture(t *testing.T)       { runFixture(t, BumpOrder, "bumporder") }
 func TestCommitStampFixture(t *testing.T)     { runFixture(t, CommitStamp, "commitstamp") }
 func TestExtRecheckFixture(t *testing.T)      { runFixture(t, ExtRecheck, "extrecheck") }
-func TestLockVerFlowFixture(t *testing.T)     { runFixture(t, LockVerFlow, "lockverflow") }
 func TestAtomicFieldFixture(t *testing.T)     { runFixture(t, AtomicField, "atomicfield") }
 func TestNoBlockInAtomicFixture(t *testing.T) { runFixture(t, NoBlockInAtomic, "noblockinatomic") }
 func TestMonoClockFixture(t *testing.T)       { runFixture(t, MonoClock, "monoclock") }

@@ -8,12 +8,11 @@ import (
 
 // BumpOrder checks the rollback half of the clock–version protocol: in
 // every function annotated //tm:rollback, the Clock.Bump call must
-// dominate every orec republish (lock-release) — under the global and
-// pass-on-failure clock modes a republished version becomes visible the
-// moment the orec word is stored, and if the clock has not yet covered
-// it a concurrent Commit can hand the same version out again (the PR 9
-// rollback bug). A deferred Bump does not count: it runs after the
-// republish it was supposed to precede.
+// dominate every orec republish (lock-release) — a republished version
+// becomes visible the moment the orec word is stored, and if the clock
+// has not yet covered it a concurrent Commit can hand the same version
+// out again. A Bump under a defer statement does not count: it runs
+// after the republish it was supposed to precede.
 var BumpOrder = &Analyzer{
 	Name: "bumporder",
 	Doc:  "in rollback paths, Clock.Bump must dominate every orec republish",

@@ -13,8 +13,7 @@ import (
 // must be dominated by the Clock.Commit call, and its version argument
 // must derive (through local assignments) from Commit's result — a
 // version derived from an earlier Now() sample can be at or below a
-// concurrently-published version, silently un-serializing the commit
-// under the pass-on-failure and deferred clock modes.
+// concurrently-published version, silently un-serializing the commit.
 //
 // Scope: functions that call Clock.Commit. Rollback republishes (which
 // intentionally publish bumped old versions) live in functions without

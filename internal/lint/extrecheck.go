@@ -7,13 +7,11 @@ import (
 	"tmsync/internal/lint/flow"
 )
 
-// ExtRecheck checks the acceptance half of timestamp extension — the
-// exact PR 9 bug shape. A successful tryExtend proves the read set is
-// valid at the *new* start time, but says nothing about the sample in
-// hand: under global/pof a rollback can republish a version the clock
-// has not reached yet, so the extended start may still predate the
-// sampled version, and the orec may have moved while the extension
-// validated. Any value accepted on the extension-success path must
+// ExtRecheck checks the acceptance half of timestamp extension. A
+// successful tryExtend proves the read set is valid at the *new* start
+// time, but says nothing about the sample in hand: the extended start
+// may still predate the sampled version, and the orec may have moved
+// while the extension validated. Any value accepted on the extension-success path must
 // therefore be dominated by BOTH a `ver <= tx.Start` recheck and an
 // orec-word recheck (word equality implies no intervening commit,
 // because versions strictly increase across lock cycles).
@@ -189,7 +187,7 @@ func acceptsValue(pr *protocol, n ast.Node) bool {
 		if pr.isNoReturn(call) {
 			return false
 		}
-		if m, ok := pr.clockMethod(call); ok && (m == "NoteStale" || m == "Bump") {
+		if m, ok := pr.clockMethod(call); ok && m == "Bump" {
 			return false
 		}
 		return true

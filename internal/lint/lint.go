@@ -49,7 +49,6 @@ const (
 	// Flow-analyzer directives (the clock–version protocol vocabulary).
 	DirRollback    = "tm:rollback"     // this function is an engine rollback path
 	DirRepublish   = "tm:republish"    // this call republishes an orec word
-	DirLockAcquire = "tm:lock-acquire" // this call/site acquires an orec lock
 	DirExtend      = "tm:extend"       // this function implements timestamp extension
 	DirNoReturn    = "tm:noreturn"     // this function never returns normally
 	DirOrecTable   = "tm:orec-table"   // this type is an orec table (Get/Set/CAS)

@@ -181,46 +181,6 @@ func read(x *tx, t *table, i int) uint64 {
 		wantMsg: "without a ver <= tx.Start recheck",
 	},
 	{
-		analyzer: "lockverflow",
-		src: `package seed
-
-//tm:orec-table
-type table struct{ w [4]uint64 }
-
-func (t *table) Get(i int) uint64 { return t.w[i] }
-
-func (t *table) CAS(i int, old, new uint64) bool {
-	if t.w[i] != old {
-		return false
-	}
-	t.w[i] = new
-	return true
-}
-
-//tm:clock-source
-type clock struct{ t uint64 }
-
-func (c *clock) Commit(start, max uint64) uint64 { c.t++; return c.t }
-
-type tx struct {
-	Start      uint64
-	MaxLockVer uint64
-}
-
-func commit(x *tx, t *table, c *clock, locks []int) uint64 {
-	for _, i := range locks {
-		w := t.Get(i)
-		//tm:lock-acquire
-		if !t.CAS(i, w, w|1) {
-			return 0
-		}
-	}
-	return c.Commit(x.Start, x.MaxLockVer)
-}
-`,
-		wantMsg: "no reaching Tx.MaxLockVer update before the Clock.Commit call",
-	},
-	{
 		analyzer: "hooknil",
 		src: `package seed
 

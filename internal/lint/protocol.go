@@ -22,7 +22,7 @@ const (
 // no-return aborts, timestamp extensions, and republishes — combining the
 // builtin runtime identities above with the package-local directive
 // vocabulary (tm:orec-table, tm:clock-source, tm:noreturn, tm:extend,
-// tm:republish, tm:lock-acquire).
+// tm:republish).
 type protocol struct {
 	pass *Pass
 
@@ -31,7 +31,6 @@ type protocol struct {
 	noReturnFn map[types.Object]bool    // //tm:noreturn functions
 	extendFn   map[types.Object]bool    // //tm:extend functions
 	republishF map[types.Object]bool    // //tm:republish functions
-	acquireFn  map[types.Object]bool    // //tm:lock-acquire functions
 }
 
 func newProtocol(p *Pass) *protocol {
@@ -42,7 +41,6 @@ func newProtocol(p *Pass) *protocol {
 		noReturnFn: make(map[types.Object]bool),
 		extendFn:   make(map[types.Object]bool),
 		republishF: make(map[types.Object]bool),
-		acquireFn:  make(map[types.Object]bool),
 	}
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -77,9 +75,6 @@ func newProtocol(p *Pass) *protocol {
 				}
 				if groupHasDirective(d.Doc, DirRepublish) {
 					pr.republishF[obj] = true
-				}
-				if groupHasDirective(d.Doc, DirLockAcquire) {
-					pr.acquireFn[obj] = true
 				}
 			}
 		}
@@ -137,7 +132,7 @@ func (pr *protocol) orecMethod(call *ast.CallExpr) (string, bool) {
 }
 
 // clockMethod resolves a call to a clock-source method ("Now", "Commit",
-// "Bump", "NoteStale"): any method of those names declared in the runtime
+// "Bump"): any method of those names declared in the runtime
 // clock package (including on the Source interface) or on a
 // //tm:clock-source-annotated type.
 func (pr *protocol) clockMethod(call *ast.CallExpr) (string, bool) {
@@ -147,7 +142,7 @@ func (pr *protocol) clockMethod(call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch fn.Name() {
-	case "Now", "Commit", "Bump", "NoteStale":
+	case "Now", "Commit", "Bump":
 	default:
 		return "", false
 	}
@@ -204,34 +199,6 @@ func (pr *protocol) isRepublish(call *ast.CallExpr) bool {
 		return true
 	}
 	return pr.pass.DirectiveNear(call.Pos(), DirRepublish)
-}
-
-// isAcquire reports whether a call acquires an orec lock: an orec CAS, a
-// //tm:lock-acquire-annotated helper, or an inline directive. annotated
-// reports whether the site (or callee) carries the directive explicitly.
-// Runtime accessors (locktable.Locked, clock reads, ...) sharing a
-// directive line are not acquisitions — the directive marks exactly the
-// acquiring call.
-func (pr *protocol) isAcquire(call *ast.CallExpr) (acquire, annotated bool) {
-	if obj := calleeObj(pr.pass, call); obj != nil && pr.acquireFn[obj] {
-		return true, true
-	}
-	if m, ok := pr.orecMethod(call); ok {
-		if m != "CAS" {
-			return false, false
-		}
-		return true, pr.pass.DirectiveNear(call.Pos(), DirLockAcquire)
-	}
-	if pr.pass.DirectiveNear(call.Pos(), DirLockAcquire) {
-		if fn, ok := calleeObj(pr.pass, call).(*types.Func); ok && fn.Pkg() != nil {
-			switch fn.Pkg().Path() {
-			case locktablePath, clockPath:
-				return false, false
-			}
-		}
-		return true, true
-	}
-	return false, false
 }
 
 // flowOpts builds the flow options wired to this protocol's no-return

@@ -10,8 +10,8 @@ import (
 
 // Analyzers is the full tmlint suite, in reporting order. The first six
 // are the AST-level checks from the original suite; bumporder,
-// commitstamp, extrecheck, and lockverflow are the flow-sensitive
-// clock–version protocol checks built on internal/lint/flow.
+// commitstamp, and extrecheck are the flow-sensitive clock–version
+// protocol checks built on internal/lint/flow.
 var Analyzers = []*Analyzer{
 	AtomicField,
 	BumpOrder,
@@ -19,7 +19,6 @@ var Analyzers = []*Analyzer{
 	ExtRecheck,
 	HookNil,
 	LockOrder,
-	LockVerFlow,
 	MonoClock,
 	NoBlockInAtomic,
 	PadCheck,

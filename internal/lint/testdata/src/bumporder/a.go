@@ -36,8 +36,8 @@ func (x *tx) rollbackGood() {
 	x.locks = x.locks[:0]
 }
 
-// rollbackLate is the PR 9 bug shape: the versions become visible before
-// the clock covers them.
+// rollbackLate releases first: the versions become visible before the
+// clock covers them.
 //
 //tm:rollback
 func (x *tx) rollbackLate() {
@@ -94,6 +94,18 @@ func (x *tx) rollbackViaHelper() {
 	for _, i := range x.locks {
 		x.republishHelper(i) // want `orec republish is not dominated by a Clock\.Bump call`
 	}
+}
+
+// store writes an orec word without being an orec-table Set.
+func (x *tx) store(i int, w uint64) { x.tab.words[i] = w }
+
+// rollbackInlineRepublish marks an ordinary store as a republish with an
+// inline directive at the call site, and does not bump first.
+//
+//tm:rollback
+func (x *tx) rollbackInlineRepublish(w uint64) {
+	//tm:republish
+	x.store(0, w) // want `orec republish is not dominated by a Clock\.Bump call`
 }
 
 // notRollback uses the same calls outside a rollback context; the

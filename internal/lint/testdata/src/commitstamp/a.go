@@ -15,23 +15,19 @@ type clock struct{ t uint64 }
 
 func (c *clock) Now() uint64 { return c.t }
 
-func (c *clock) Commit(start, maxLock uint64) uint64 {
-	if maxLock > c.t {
-		c.t = maxLock
-	}
+func (c *clock) Commit(start, held uint64) uint64 {
 	c.t++
 	return c.t
 }
 
 type tx struct {
-	Start      uint64
-	MaxLockVer uint64
-	Locks      []int
+	Start uint64
+	Locks []int
 }
 
 // commitGood publishes the commit timestamp itself.
 func commitGood(x *tx, t *table, c *clock) {
-	end := c.Commit(x.Start, x.MaxLockVer)
+	end := c.Commit(x.Start, 0)
 	for _, i := range x.Locks {
 		t.Set(i, end<<1)
 	}
@@ -41,7 +37,7 @@ func commitGood(x *tx, t *table, c *clock) {
 // commitDerived publishes a value computed from the timestamp through a
 // local assignment chain; derivation must propagate.
 func commitDerived(x *tx, t *table, c *clock) {
-	end := c.Commit(x.Start, x.MaxLockVer)
+	end := c.Commit(x.Start, 0)
 	word := end << 1
 	release := word
 	for _, i := range x.Locks {
@@ -55,7 +51,7 @@ func publishEarly(x *tx, t *table, c *clock) {
 	for _, i := range x.Locks {
 		t.Set(i, x.Start<<1) // want `orec publish precedes the Clock\.Commit stamp`
 	}
-	_ = c.Commit(x.Start, x.MaxLockVer)
+	_ = c.Commit(x.Start, 0)
 }
 
 // publishNowSample is the stale-clock bug shape: the published version
@@ -63,7 +59,7 @@ func publishEarly(x *tx, t *table, c *clock) {
 // can sit at or below a concurrently-published version.
 func publishNowSample(x *tx, t *table, c *clock) {
 	now := c.Now()
-	_ = c.Commit(x.Start, x.MaxLockVer)
+	_ = c.Commit(x.Start, 0)
 	for _, i := range x.Locks {
 		t.Set(i, now<<1) // want `orec publish uses a version derived from a stale Clock\.Now sample`
 	}
@@ -72,7 +68,7 @@ func publishNowSample(x *tx, t *table, c *clock) {
 // publishUnrelated derives the version from the start time instead of
 // the commit timestamp.
 func publishUnrelated(x *tx, t *table, c *clock) {
-	_ = c.Commit(x.Start, x.MaxLockVer)
+	_ = c.Commit(x.Start, 0)
 	for _, i := range x.Locks {
 		t.Set(i, x.Start<<1) // want `orec publish does not derive from the Clock\.Commit timestamp`
 	}

@@ -64,9 +64,8 @@ func readGoodFlipped(x *tx, i int) uint64 {
 	panic("unreachable")
 }
 
-// readNoStartRecheck validates only the orec word — the PR 9 bug: under
-// global/pof a rollback can republish a version the extended start still
-// predates.
+// readNoStartRecheck validates only the orec word: the extended start
+// may still predate the sampled version.
 func readNoStartRecheck(x *tx, i int) uint64 {
 	w := x.tab.Get(i)
 	val := (w >> 1) + 100

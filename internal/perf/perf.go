@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"tmsync/internal/buffer"
-	"tmsync/internal/clock"
 	"tmsync/internal/core"
 	"tmsync/internal/harness"
 	"tmsync/internal/locktable"
@@ -133,22 +132,6 @@ type Options struct {
 	// preempt the age bound being measured.
 	LatencyRounds, LatencyBurst int
 
-	// ClockThreads is the goroutine ladder of the commit-clock sweep;
-	// empty skips it (cmd/tmbench passes 8,16,32 by default — the rungs
-	// past 8 are where a single fetch-and-add word stops scaling). Each
-	// rung runs the tight-loop producer workload and the bounded buffer
-	// (Retry) on the STM engines under every ClockModes protocol, with
-	// timestamp extension enabled uniformly: deferred turns too-new
-	// observations into extensions rather than aborts, and the knob must
-	// not differ between the cells being compared.
-	ClockThreads []int
-	// ClockModes lists the Config.ClockMode protocols the clock cells
-	// measure (default: all three — global, pof, deferred). The global
-	// cells ARE the pre-sweep implementation — one atomic add on the one
-	// cache line every committer shares — so the sweep carries its own
-	// baseline, and global is always included.
-	ClockModes []string
-
 	// Progress, when set, receives one call per completed point.
 	Progress func(done, total int, p Point)
 }
@@ -228,20 +211,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LatencyBurst == 0 {
 		o.LatencyBurst = 8
-	}
-	if len(o.ClockModes) == 0 {
-		for _, m := range clock.Modes() {
-			o.ClockModes = append(o.ClockModes, string(m))
-		}
-	}
-	hasGlobal := false
-	for _, m := range o.ClockModes {
-		if m == string(clock.Global) {
-			hasGlobal = true
-		}
-	}
-	if !hasGlobal {
-		o.ClockModes = append([]string{string(clock.Global)}, o.ClockModes...)
 	}
 	return o
 }
@@ -333,16 +302,10 @@ type Point struct {
 	FlushRead     uint64 `json:"flush_read,omitempty"`
 	FlushAge      uint64 `json:"flush_age,omitempty"`
 	FlushTeardown uint64 `json:"flush_teardown,omitempty"`
-	// ClockMode is the Config.ClockMode the point ran with (clock-sweep
-	// cells; empty = the global default everywhere else).
-	ClockMode string `json:"clock_mode,omitempty"`
 	// ClockAdvances counts successful writes to the shared clock word;
-	// ClockCASRetries counts CAS attempts on it that lost.
-	// ClockOpsPerCommit is their sum per writer commit — the cost every
-	// commit pays on the one cache line all committers share, the
-	// quantity the pof and deferred protocols exist to shrink.
+	// ClockOpsPerCommit is that count per writer commit — the cost every
+	// commit pays on the one cache line all committers share.
 	ClockAdvances     uint64  `json:"clock_advances,omitempty"`
-	ClockCASRetries   uint64  `json:"clock_cas_retries,omitempty"`
 	ClockOpsPerCommit float64 `json:"clock_ops_per_commit,omitempty"`
 	// MaxDelayNs is the Config.CoalesceMaxDelay the point ran with
 	// (latency cells only).
@@ -495,46 +458,6 @@ type LatencyVerdict struct {
 	Holds bool `json:"holds"`
 }
 
-// ClockVerdict summarizes the commit-clock sweep at 16 goroutines (the
-// acceptance rung; the ladder also measures 8 and 32), pooled across the
-// STM engines and repetitions. BestMode is the non-global protocol whose
-// worse workload-throughput ratio against global is highest — both
-// workloads have to clear the bar, so the candidate is picked by its
-// weakest showing. TrafficMode is judged separately: it is the
-// non-global protocol with the fewest shared clock-word operations per
-// commit, because the two claims are won by different protocols on some
-// hardware (POF keeps global's uncontended commit fast path while
-// Deferred is the one that actually silences the shared word). Improved
-// is the headline claim: some non-global mode commits strictly faster
-// than the global fetch-and-add clock on BOTH the tight-loop and the
-// bounded-buffer workload, and some non-global mode issues strictly
-// fewer shared clock-word operations per commit.
-type ClockVerdict struct {
-	Threads  int      `json:"threads"`
-	Modes    []string `json:"modes"`
-	BestMode string   `json:"best_mode"`
-
-	TightloopCommitsPerSecGlobal float64 `json:"tightloop_commits_per_sec_global"`
-	TightloopCommitsPerSecBest   float64 `json:"tightloop_commits_per_sec_best"`
-	TightloopImproved            bool    `json:"tightloop_improved"`
-
-	// The buffer claims hold vacuously (rates zero, bool true) when the
-	// buffer cells were filtered out of the sweep by -workloads.
-	BufferCommitsPerSecGlobal float64 `json:"buffer_commits_per_sec_global"`
-	BufferCommitsPerSecBest   float64 `json:"buffer_commits_per_sec_best"`
-	BufferImproved            bool    `json:"buffer_improved"`
-
-	// TrafficMode's clock-word operation rate versus global's; BestMode's
-	// own rate is reported alongside for completeness.
-	TrafficMode              string  `json:"traffic_mode"`
-	ClockOpsPerCommitGlobal  float64 `json:"clock_ops_per_commit_global"`
-	ClockOpsPerCommitBest    float64 `json:"clock_ops_per_commit_best"`
-	ClockOpsPerCommitTraffic float64 `json:"clock_ops_per_commit_traffic"`
-	TrafficReduced           bool    `json:"traffic_reduced"`
-
-	Improved bool `json:"improved"`
-}
-
 // Report is the machine-readable result of one sweep (BENCH_PR<N>.json).
 type Report struct {
 	Schema          string           `json:"schema"`
@@ -565,10 +488,6 @@ type Report struct {
 	LatencyThreads  []int            `json:"latency_threads,omitempty"`
 	LatencySweep    []Point          `json:"latency_sweep,omitempty"`
 	LatencyVerdict  *LatencyVerdict  `json:"latency_verdict,omitempty"`
-	ClockThreads    []int            `json:"clock_threads,omitempty"`
-	ClockModes      []string         `json:"clock_modes,omitempty"`
-	ClockSweep      []Point          `json:"clock_sweep,omitempty"`
-	ClockVerdict    *ClockVerdict    `json:"clock_verdict,omitempty"`
 }
 
 // runTimed executes one cell's measured section and returns its elapsed
@@ -598,11 +517,6 @@ func Run(o Options) (*Report, error) {
 	for _, s := range o.SweepStripes {
 		if s <= 0 || s&(s-1) != 0 || s > locktable.DefaultSize {
 			return nil, fmt.Errorf("perf: stripe count %d must be a power of two in [1, %d]", s, locktable.DefaultSize)
-		}
-	}
-	for _, m := range o.ClockModes {
-		if _, err := clock.ParseMode(m); err != nil {
-			return nil, fmt.Errorf("perf: %w", err)
 		}
 	}
 	for _, w := range o.Workloads {
@@ -644,11 +558,7 @@ func Run(o Options) (*Report, error) {
 		adaptive  bool
 		coal      bool // belongs to the coalesce sweep
 		lat       bool // belongs to the wake-latency sweep
-		clk       bool // belongs to the commit-clock sweep
 		coalesce  int  // Config.CoalesceCommits for the cell
-		// clockMode is the Config.ClockMode for the cell ("" = global);
-		// clock cells also run with timestamp extension enabled.
-		clockMode string
 		maxDelay  time.Duration
 		// reps repeats the cell (multiplied by Trials): the Retry-Orig
 		// ring's scan rate carries heavy scheduling noise per run, and
@@ -804,42 +714,6 @@ func Run(o Options) (*Report, error) {
 		}
 	}
 
-	// Commit-clock sweep: the tight-loop producer workload and the
-	// bounded buffer (Retry) on the STM engines, at every ClockThreads
-	// rung × ClockModes protocol. In the tight loop the lanes' counters
-	// sit on distinct orecs, so the commit clock is the one cache line
-	// every committer shares — exactly the hot spot the sweep measures;
-	// the buffer adds blocking and wake scans around the commit, checking
-	// the protocol still wins when the clock is not the whole story. All
-	// clock cells run with timestamp extension on (see Options.ClockModes).
-	// The verdict is a strict throughput comparison, so the repetitions
-	// are interleaved across modes (one cell per rep, modes round-robin)
-	// rather than blocked per mode: machine-wide throughput drift during
-	// the run then lands on every mode equally instead of biasing
-	// whichever mode happened to occupy a slow window.
-	if len(o.ClockThreads) > 0 {
-		rep.ClockThreads = o.ClockThreads
-		rep.ClockModes = o.ClockModes
-		for _, threads := range o.ClockThreads {
-			if threads < 2 {
-				continue // both workloads need producer/consumer pairs
-			}
-			for _, e := range o.Engines {
-				if e != "eager" && e != "lazy" {
-					continue // the hardware paths serialize commits elsewhere
-				}
-				for rep := 0; rep < 5; rep++ {
-					for _, mode := range o.ClockModes {
-						cells = append(cells, cell{workload: "tightloop", engine: e, m: mech.WaitPred, threads: threads, clk: true, clockMode: mode, reps: 1})
-						if hasWorkload(o.Workloads, sweepWorkload) {
-							cells = append(cells, cell{workload: sweepWorkload, engine: e, m: mech.Retry, threads: threads, clk: true, clockMode: mode, reps: 1})
-						}
-					}
-				}
-			}
-		}
-	}
-
 	highStripes := 0
 	for _, s := range o.SweepStripes {
 		if s > highStripes {
@@ -862,7 +736,7 @@ func Run(o Options) (*Report, error) {
 			reps = 1
 		}
 		for trial := 0; trial < reps*o.Trials; trial++ {
-			k := harness.Knobs{Stripes: c.stripes, Unbatched: c.unbatched, CoalesceCommits: c.coalesce, CoalesceMaxDelay: c.maxDelay, ClockMode: c.clockMode, TimestampExtension: c.clk}
+			k := harness.Knobs{Stripes: c.stripes, Unbatched: c.unbatched, CoalesceCommits: c.coalesce, CoalesceMaxDelay: c.maxDelay}
 			if c.adaptive {
 				// Start deliberately wrong (one stripe, the old global
 				// table) and let the controller roam up to the sweep's
@@ -890,10 +764,7 @@ func Run(o Options) (*Report, error) {
 			}
 			p.Adaptive = c.adaptive
 			p.Coalesce = c.coalesce
-			p.ClockMode = c.clockMode
 			switch {
-			case c.clk:
-				rep.ClockSweep = append(rep.ClockSweep, p)
 			case c.lat:
 				rep.LatencySweep = append(rep.LatencySweep, p)
 			case c.coal:
@@ -918,7 +789,6 @@ func Run(o Options) (*Report, error) {
 	rep.AdaptiveVerdict = adaptiveVerdict(rep, o, sweepWorkload, maxThreads, highStripes)
 	rep.CoalesceVerdict = coalesceVerdict(rep.CoalesceSweep, sweepWorkload, coalesceMaxK)
 	rep.LatencyVerdict = latencyVerdict(rep.LatencySweep, o)
-	rep.ClockVerdict = clockVerdict(rep.ClockSweep, o.ClockModes)
 	return rep, nil
 }
 
@@ -1282,7 +1152,6 @@ func fill(p *Point, sys *tm.System, secs float64) {
 	p.GenAborts = s.GenAborts.Load()
 	p.CoalescedScans = s.CoalescedScans.Load()
 	p.ClockAdvances = s.ClockAdvances.Load()
-	p.ClockCASRetries = s.ClockCASRetries.Load()
 	p.FlushK = s.FlushReasonK.Load()
 	p.FlushBlock = s.FlushReasonBlock.Load()
 	p.FlushAbort = s.FlushReasonAbort.Load()
@@ -1296,7 +1165,7 @@ func fill(p *Point, sys *tm.System, secs float64) {
 		p.WakeupsPerCommit = float64(p.WakeChecks) / float64(p.Commits)
 		p.SignalsPerCommit = float64(p.Wakeups) / float64(p.Commits)
 		p.OrigChecksPerCommit = float64(p.OrigShardChecks) / float64(p.Commits)
-		p.ClockOpsPerCommit = float64(p.ClockAdvances+p.ClockCASRetries) / float64(p.Commits)
+		p.ClockOpsPerCommit = float64(p.ClockAdvances) / float64(p.Commits)
 	}
 }
 
@@ -1677,106 +1546,6 @@ func coalesceVerdict(sweep []Point, workload string, maxK int) *CoalesceVerdict 
 		v.OrigChecksPerCommitOn <= 1.10*v.OrigChecksPerCommitOff
 
 	v.Improved = v.TightloopImproved && v.BufferNoRegression && v.OrigNoRegression
-	return v
-}
-
-// clockVerdict aggregates the commit-clock sweep at 16 goroutines (the
-// acceptance rung; else the sweep's highest). Commits/sec pools every
-// cell of a (workload, mode) pair — sum of commits over sum of wall time
-// across engines and repetitions — and the clock-word traffic rate pools
-// both workloads: the protocol claim is about the shared word, not one
-// workload's mix.
-func clockVerdict(sweep []Point, modes []string) *ClockVerdict {
-	if len(sweep) == 0 {
-		return nil
-	}
-	threads := 0
-	for _, p := range sweep {
-		if p.Threads > threads {
-			threads = p.Threads
-		}
-	}
-	for _, p := range sweep {
-		if p.Threads == 16 {
-			threads = 16
-		}
-	}
-	// pool returns commits/sec and clock ops/commit for one mode at the
-	// verdict rung, restricted to workload when non-empty.
-	pool := func(workload, mode string) (commitsPerSec, clockOps float64) {
-		var commits, ops uint64
-		var secs float64
-		for _, p := range sweep {
-			if p.Threads != threads || p.ClockMode != mode {
-				continue
-			}
-			if workload != "" && p.Workload != workload {
-				continue
-			}
-			commits += p.Commits
-			ops += p.ClockAdvances + p.ClockCASRetries
-			secs += p.Seconds
-		}
-		if secs > 0 {
-			commitsPerSec = float64(commits) / secs
-		}
-		if commits > 0 {
-			clockOps = float64(ops) / float64(commits)
-		}
-		return
-	}
-	// ratio treats an unmeasured pair (both sides zero — the workload was
-	// filtered out of the sweep) as neutral rather than as a loss.
-	ratio := func(x, base float64) float64 {
-		if base <= 0 {
-			return 1
-		}
-		return x / base
-	}
-	v := &ClockVerdict{Threads: threads, Modes: modes}
-	v.TightloopCommitsPerSecGlobal, _ = pool("tightloop", string(clock.Global))
-	v.BufferCommitsPerSecGlobal, _ = pool("buffer", string(clock.Global))
-	_, v.ClockOpsPerCommitGlobal = pool("", string(clock.Global))
-	bestScore := 0.0
-	for _, m := range modes {
-		if m == string(clock.Global) {
-			continue
-		}
-		t, _ := pool("tightloop", m)
-		b, _ := pool("buffer", m)
-		if t == 0 && b == 0 {
-			continue // mode not measured at this rung
-		}
-		// Judge a candidate by its weaker workload: both must beat global.
-		score := math.Min(ratio(t, v.TightloopCommitsPerSecGlobal), ratio(b, v.BufferCommitsPerSecGlobal))
-		if v.BestMode == "" || score > bestScore {
-			v.BestMode, bestScore = m, score
-		}
-	}
-	if v.BestMode == "" {
-		return v // only global measured; nothing to compare
-	}
-	v.TightloopCommitsPerSecBest, _ = pool("tightloop", v.BestMode)
-	v.BufferCommitsPerSecBest, _ = pool("buffer", v.BestMode)
-	_, v.ClockOpsPerCommitBest = pool("", v.BestMode)
-	for _, m := range modes {
-		if m == string(clock.Global) {
-			continue
-		}
-		t, ops := pool("", m)
-		if t == 0 {
-			continue // mode not measured at this rung
-		}
-		if v.TrafficMode == "" || ops < v.ClockOpsPerCommitTraffic {
-			v.TrafficMode, v.ClockOpsPerCommitTraffic = m, ops
-		}
-	}
-	v.TightloopImproved = v.TightloopCommitsPerSecGlobal > 0 &&
-		v.TightloopCommitsPerSecBest > v.TightloopCommitsPerSecGlobal
-	v.BufferImproved = v.BufferCommitsPerSecGlobal == 0 && v.BufferCommitsPerSecBest == 0 ||
-		v.BufferCommitsPerSecBest > v.BufferCommitsPerSecGlobal
-	v.TrafficReduced = v.ClockOpsPerCommitTraffic < v.ClockOpsPerCommitGlobal
-	v.Improved = v.TightloopImproved && v.BufferImproved && v.TrafficReduced
 	return v
 }
 

@@ -65,17 +65,12 @@ func (e *Engine) Read(tx *tm.Tx, addr *uint64) uint64 {
 			}
 			return val
 		}
-		// Too new: under a deferred clock the shared word may still be
-		// behind this version, so record the observation before the
-		// extension (or the retry after abort) resamples the clock.
-		e.sys.Clock.NoteStale(ver)
-		// After a successful extension the consistent sample (val, ver)
-		// taken above is still current iff the extended start covers ver
-		// and the orec is unchanged. The ver <= tx.Start recheck is
-		// load-bearing: under global/pof a rollback can republish a
-		// version the clock has not reached yet, so the extended start
-		// may still predate ver — accepting the sample then would record
-		// a read the snapshot does not cover. The word recheck is sound
+		// Too new. After a successful extension the consistent sample
+		// (val, ver) taken above is still current iff the extended start
+		// covers ver and the orec is unchanged. The ver <= tx.Start
+		// recheck is load-bearing: the extension validates the read set,
+		// not the sample in hand, so without it the snapshot could record
+		// a read it does not cover. The word recheck is sound
 		// because orec versions strictly increase across lock cycles
 		// (clock.Source invariant), so an equal word means no
 		// intervening commit; checking it (after tryExtend sampled the
@@ -130,22 +125,16 @@ func (e *Engine) Write(tx *tm.Tx, addr *uint64, val uint64) {
 		ver := locktable.Version(w)
 		ok := ver <= tx.Start
 		if !ok {
-			e.sys.Clock.NoteStale(ver)
 			// As in Read, the post-extension ver <= tx.Start recheck is
-			// required: without it a rollback-republished version ahead
-			// of the clock could be locked and committed by a snapshot
-			// that never covered it.
+			// required: without it a version the extended snapshot never
+			// covered could be locked and committed.
 			// The orec-word recheck is subsumed by the CAS below (it
 			// only succeeds against the sampled word w), but stating it
 			// here keeps the extension-acceptance shape uniform across
 			// engines and lets extrecheck verify it structurally.
 			ok = e.sys.Cfg.TimestampExtension && e.tryExtend(tx) && ver <= tx.Start && e.sys.Table.Get(idx) == w
 		}
-		//tm:lock-acquire
 		if ok && e.sys.Table.CAS(idx, w, locktable.LockedBy(tx.Thr.ID, ver)) {
-			if ver > tx.MaxLockVer {
-				tx.MaxLockVer = ver
-			}
 			tx.Locks = append(tx.Locks, idx)
 			tx.NoteWriteStripe(idx)
 			tx.Undo = append(tx.Undo, tm.UndoEntry{Addr: addr, Old: atomic.LoadUint64(addr)})
@@ -165,7 +154,7 @@ func (e *Engine) Commit(tx *tm.Tx) {
 	if len(tx.Locks) == 0 {
 		return
 	}
-	end, exclusive := e.sys.Clock.Commit(tx.Start, tx.MaxLockVer)
+	end, exclusive := e.sys.Clock.Commit(tx.Start, 0)
 	if !exclusive && !e.validateReads(tx) {
 		tx.Abort(tm.AbortConflict)
 	}
@@ -193,8 +182,7 @@ func (e *Engine) validateReads(tx *tm.Tx) bool {
 			if locktable.Owner(w) != tx.Thr.ID {
 				return false
 			}
-		} else if v := locktable.Version(w); v > tx.Start {
-			e.sys.Clock.NoteStale(v)
+		} else if locktable.Version(w) > tx.Start {
 			return false
 		}
 	}
@@ -206,11 +194,11 @@ func (e *Engine) Validate(tx *tm.Tx) bool { return e.validateReads(tx) }
 
 // Rollback implements Algorithm 11's TxAbort: undo writes in reverse,
 // bump the clock once, and release locks with an incremented version so
-// concurrent TxReads notice. The bump precedes the release so that under
-// global/pof the republished versions are already covered by the clock
-// when they become visible — a version ahead of the clock could be
-// handed out again by a concurrent Commit, breaking the strict per-orec
-// version increase that timestamp extension relies on. It is safe to
+// concurrent TxReads notice. The bump precedes the release so that the
+// republished versions are already covered by the clock when they become
+// visible — a version ahead of the clock could be handed out again by a
+// concurrent Commit, breaking the strict per-orec version increase that
+// timestamp extension relies on. It is safe to
 // call when the undo log has already been applied (AwaitSnapshot) and is
 // idempotent across repeated calls.
 //
@@ -252,13 +240,9 @@ func (e *Engine) AwaitSnapshot(tx *tm.Tx, addrs []*uint64) {
 		}
 		w2 := e.sys.Table.Get(idx)
 		if w1 == w2 && !locktable.Locked(w1) {
-			if v := locktable.Version(w1); v <= tx.Start {
+			if locktable.Version(w1) <= tx.Start {
 				tx.LogWait(addr, val)
 				continue
-			} else {
-				// Keep a deferred clock moving so the re-executed
-				// attempt starts late enough to read this address.
-				e.sys.Clock.NoteStale(v)
 			}
 		}
 		tx.Abort(tm.AbortConflict)

@@ -34,10 +34,7 @@ func (e *Engine) Begin(tx *tm.Tx) {
 // sampleRead performs a consistent read of committed memory: orec, value,
 // orec again, unlocked and no newer than the transaction's start. A
 // too-new version first tries timestamp extension (when enabled and the
-// caller permits it) before aborting: under the deferred clock every
-// fresh version is "too new" for a start sampled from a word that never
-// moved, and extension is what keeps that from costing an abort per
-// dependent read.
+// caller permits it) before aborting.
 func (e *Engine) sampleRead(tx *tm.Tx, addr *uint64, extend bool) (uint64, uint32, uint64) {
 	idx := e.sys.Table.IndexOf(addr)
 	w1 := e.sys.Table.Get(idx)
@@ -48,14 +45,10 @@ func (e *Engine) sampleRead(tx *tm.Tx, addr *uint64, extend bool) (uint64, uint3
 		if v <= tx.Start {
 			return val, idx, v
 		}
-		// Keep a deferred clock moving so the extension (or the
-		// re-executed attempt) starts late enough to read this version.
-		e.sys.Clock.NoteStale(v)
 		// After a successful extension the consistent sample (val, v) is
 		// still current iff the extended start covers v and the orec is
-		// unchanged. The v <= tx.Start recheck is load-bearing: under
-		// global/pof a rollback can republish a version the clock has
-		// not reached yet, so the extended start may still predate v.
+		// unchanged. The v <= tx.Start recheck is load-bearing: the
+		// extension validates the read set, not the sample in hand.
 		// The word recheck is sound because versions strictly increase
 		// across lock cycles (clock.Source invariant), so an equal word
 		// means no intervening commit; checking it (after tryExtend
@@ -72,9 +65,8 @@ func (e *Engine) sampleRead(tx *tm.Tx, addr *uint64, extend bool) (uint64, uint3
 // prior read's orec still carries the exact version observed at read
 // time, the buffered values are all current at the present clock, so the
 // start time may advance instead of aborting on a too-new read. The
-// exact-match comparison is what makes this sound under shared and
-// deferred timestamps: a version that merely stayed <= the new start
-// could still have been republished by an intervening commit.
+// comparison is exact because a version that merely stayed <= the new
+// start could still have been republished by an intervening commit.
 //
 //tm:extend
 func (e *Engine) tryExtend(tx *tm.Tx) bool {
@@ -136,17 +128,13 @@ func (e *Engine) Commit(tx *tm.Tx) {
 			continue
 		}
 		w := e.sys.Table.Get(idx)
-		//tm:lock-acquire
 		if locktable.Locked(w) || !e.sys.Table.CAS(idx, w, locktable.LockedBy(tx.Thr.ID, locktable.Version(w))) {
 			tx.Abort(tm.AbortConflict)
-		}
-		if v := locktable.Version(w); v > tx.MaxLockVer {
-			tx.MaxLockVer = v
 		}
 		tx.Locks = append(tx.Locks, idx)
 		tx.NoteWriteStripe(idx)
 	}
-	end, exclusive := e.sys.Clock.Commit(tx.Start, tx.MaxLockVer)
+	end, exclusive := e.sys.Clock.Commit(tx.Start, 0)
 	if !exclusive && !e.validateReads(tx) {
 		tx.Abort(tm.AbortConflict)
 	}
@@ -188,8 +176,7 @@ func (e *Engine) validateReads(tx *tm.Tx) bool {
 			if locktable.Owner(w) != tx.Thr.ID || locktable.Version(w) > tx.Start {
 				return false
 			}
-		} else if v := locktable.Version(w); v > tx.Start {
-			e.sys.Clock.NoteStale(v)
+		} else if locktable.Version(w) > tx.Start {
 			return false
 		}
 	}
@@ -202,10 +189,10 @@ func (e *Engine) Validate(tx *tm.Tx) bool { return e.validateReads(tx) }
 // Rollback discards the redo log (memory was never touched before
 // validation succeeded) and releases any commit-time locks with a bumped
 // version so concurrent readers notice the ownership change. The clock
-// bump precedes the release so that under global/pof the republished
-// versions are already covered by the clock when they become visible —
-// a version ahead of the clock could be handed out again by a concurrent
-// Commit, breaking the strict per-orec version increase that timestamp
+// bump precedes the release so that the republished versions are
+// already covered by the clock when they become visible — a version
+// ahead of the clock could be handed out again by a concurrent Commit,
+// breaking the strict per-orec version increase that timestamp
 // extension relies on.
 //
 //tm:rollback

@@ -147,14 +147,6 @@ type Tx struct {
 	Mallocs [][]uint64  // transactional allocations (undone on abort)
 	Frees   [][]uint64  // deferred frees (performed on commit)
 
-	// MaxLockVer is the highest pre-acquisition version among the orecs
-	// this attempt holds locked, maintained by the engines at lock
-	// acquisition and handed to clock.Source.Commit so commit stamps
-	// strictly exceed every version the attempt is about to overwrite
-	// (the deferred clock needs this to keep per-orec versions strictly
-	// increasing; global/pof get it from the shared word).
-	MaxLockVer uint64
-
 	// WriteOrecs is filled by the engine during a successful Commit with
 	// the orec slots the transaction wrote. The original Retry mechanism
 	// (Algorithm 1) intersects it with sleeping transactions' read sets.
@@ -423,7 +415,6 @@ func (tx *Tx) resetAfterAttempt(committed bool) {
 	tx.Undo = tx.Undo[:0]
 	tx.Redo.Reset()
 	tx.Locks = tx.Locks[:0]
-	tx.MaxLockVer = 0
 	tx.Mallocs = tx.Mallocs[:0]
 	tx.Frees = tx.Frees[:0]
 	tx.WriteOrecs = tx.WriteOrecs[:0]
@@ -559,7 +550,6 @@ type Stats struct {
 	ExplicitRestarts atomic.Uint64
 	Deschedules      atomic.Uint64
 	Wakeups          atomic.Uint64
-	FutileWakeups    atomic.Uint64
 	Serializations   atomic.Uint64
 
 	// WakeChecks counts sleeping waiters visited (predicate considered)
@@ -619,16 +609,10 @@ type Stats struct {
 	FlushReasonTeardown atomic.Uint64
 
 	// ClockAdvances counts successful advances of the shared commit-clock
-	// word: global-mode increments (one per writer commit and rollback),
-	// pof-mode won CASes, and deferred-mode NoteStale/AtLeast raises.
-	// ClockCASRetries counts failed CASes on that word: pof adoptions
-	// (commits that shared the winner's timestamp instead of retrying)
-	// and AtLeast collisions. Together they make commit-clock cache-line
-	// traffic observable per run instead of merely inferable from
-	// throughput; (advances + retries) / commits is the per-commit
-	// shared-word cost the non-global Config.ClockMode protocols reduce.
-	ClockAdvances   atomic.Uint64
-	ClockCASRetries atomic.Uint64
+	// word: one per writer commit and per rollback Bump, plus AtLeast
+	// raises. It makes commit-clock cache-line traffic observable per
+	// run instead of merely inferable from throughput.
+	ClockAdvances atomic.Uint64
 }
 
 // Attempts returns the total number of finished transaction attempts
@@ -660,7 +644,6 @@ func (s *Stats) Snapshot() map[string]uint64 {
 		"explicit_restarts": s.ExplicitRestarts.Load(),
 		"deschedules":       s.Deschedules.Load(),
 		"wakeups":           s.Wakeups.Load(),
-		"futile_wakeups":    s.FutileWakeups.Load(),
 		"serializations":    s.Serializations.Load(),
 		"wake_checks":       s.WakeChecks.Load(),
 		"batched_signals":   s.BatchedSignals.Load(),
@@ -676,7 +659,6 @@ func (s *Stats) Snapshot() map[string]uint64 {
 		"flush_age":         s.FlushReasonAge.Load(),
 		"flush_teardown":    s.FlushReasonTeardown.Load(),
 		"clock_advances":    s.ClockAdvances.Load(),
-		"clock_cas_retries": s.ClockCASRetries.Load(),
 	}
 }
 
@@ -734,22 +716,6 @@ type Config struct {
 	// notes the abort-on-too-new default is conservative). Hardware
 	// attempts never extend.
 	TimestampExtension bool
-	// ClockMode selects the commit-timestamp protocol: "global" (the
-	// default, also selected by ""; one atomic increment of the shared
-	// clock word per writer commit), "pof" (GV4 pass-on-CAS-failure:
-	// losers adopt the winner's timestamp instead of retrying), or
-	// "deferred" (GV5/TicToc-flavored: commits publish one past
-	// max(Now(), highest locked orec version) without touching the
-	// shared word, which advances only when a reader observes a
-	// too-new version). See internal/clock for the
-	// protocol and soundness notes. Like the wakeup knobs this is a pure
-	// performance knob — every mode must yield identical observable
-	// outcomes, which the differential harness checks across all
-	// engines and mechanisms (tmcheck -clock). "deferred" trades the
-	// quietest clock line for occasional extra false aborts when a
-	// reader lands on a freshly published version; TimestampExtension
-	// turns most of those aborts into in-place snapshot extensions.
-	ClockMode string
 	// HTMReadCap / HTMWriteCap bound the simulated hardware read and write
 	// sets, in words. 0 selects the defaults (4096 / 448).
 	HTMReadCap, HTMWriteCap int
@@ -880,9 +846,6 @@ func (c Config) withDefaults() Config {
 	if c.HTMMaxRetries == 0 {
 		c.HTMMaxRetries = 2
 	}
-	if _, err := clock.ParseMode(c.ClockMode); err != nil {
-		panic("tm: " + err.Error())
-	}
 	return c
 }
 
@@ -968,7 +931,7 @@ type System struct {
 func NewSystem(cfg Config, mk func(*System) Engine) *System {
 	cfg = cfg.withDefaults()
 	s := &System{Cfg: cfg, Table: locktable.NewResizable(cfg.TableSize, cfg.Stripes, cfg.MaxStripes)}
-	s.Clock = clock.New(clock.Mode(cfg.ClockMode), &s.Stats.ClockCASRetries, &s.Stats.ClockAdvances)
+	s.Clock = clock.New(&s.Stats.ClockAdvances)
 	s.pool.init()
 	s.Engine = mk(s)
 	return s
@@ -1012,28 +975,18 @@ func (s *System) threadsUnlocked() []*Thread {
 // ≤ end has finished its current attempt, providing privatization safety
 // after a writer commit (Appendix A, TxCommit line 20).
 //
-// The ordering stays correct under every Config.ClockMode, including the
-// modes where commit timestamps are shared or the clock is not advanced
-// on commit:
+// Why the comparison is sound:
 //
 //   - A transaction that must be waited for is one that could have read
 //     the pre-commit state of our write set. Such a transaction's
-//     snapshot precedes our publication, so its published ActiveStart
-//     (start+1) is <= end in every mode — under "deferred",
-//     end >= Now()+1 (Commit may chain even higher off the versions it
-//     locked) is >= start+1 for every transaction whose snapshot
-//     the committer could race with, which makes the wait conservative
-//     (it may also cover some later-started transactions) but never
-//     unsound.
+//     snapshot precedes our commit timestamp, so its published
+//     ActiveStart (start+1) is <= end.
 //
 //   - A transaction with start >= end began after our commit timestamp
 //     was fixed. If it touches our write set before our locks are
 //     released it aborts on the locked orec; after release it reads the
 //     committed values (version end <= its start). Either way it can
-//     never observe pre-commit state, so skipping it is safe — even
-//     when it shares the timestamp end with us ("pof" adoption), since
-//     sharing requires disjoint write-lock sets and a post-publication
-//     snapshot.
+//     never observe pre-commit state, so skipping it is safe.
 //
 //   - Timestamp extension moves a live transaction's ActiveStart
 //     forward, possibly past end, dropping it from our wait set. That

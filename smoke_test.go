@@ -133,17 +133,16 @@ func TestSmokeCommands(t *testing.T) {
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-coalesce", "2"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-coalesce", "8", "-adaptive"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-coalesce", "8", "-max-delay", "2ms"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "pof"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "deferred", "-ext"}, "OK: every engine x mechanism pair matched"},
-		{"tmcheck", []string{"-n", "2", "-seed", "1", "-clock", "deferred", "-coalesce", "2"}, "OK: every engine x mechanism pair matched"},
+		{"tmcheck", []string{"-n", "2", "-seed", "1", "-ext"}, "OK: every engine x mechanism pair matched"},
+		{"tmcheck", []string{"-n", "2", "-seed", "1", "-ext", "-coalesce", "2"}, "OK: every engine x mechanism pair matched"},
+		{"tmcheck", []string{"-n", "2", "-seed", "1", "-ext", "-adaptive"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-zipf", "1.2"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-read-mostly"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-phases", "6:counters,6:readmostly,4:map"}, "OK: every engine x mechanism pair matched"},
-		{"tmbench", []string{"-quick", "-threads", "1,2", "-workloads", "buffer,parsec/x264", "-clock-threads", "", "-out", benchOut}, "retry-orig sweep"},
-		{"tmbench", []string{"-quick", "-threads", "1,2", "-workloads", "buffer", "-mechs", "retry,await", "-orig-threads", "2", "-adaptive-threads", "2", "-clock-threads", "", "-no-baseline", "-out", benchOut}, "adaptive sweep"},
-		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-orig-threads", "2", "-adaptive-threads", "", "-coalesce-threads", "2", "-clock-threads", "", "-no-baseline", "-out", benchOut}, "coalesce sweep"},
-		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-orig-threads", "", "-adaptive-threads", "", "-coalesce-threads", "2", "-latency-threads", "2", "-max-delay", "10ms", "-clock-threads", "", "-no-baseline", "-diff", "", "-out", benchOut}, "latency verdict: HOLDS"},
-		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-engines", "eager,lazy", "-orig-threads", "", "-adaptive-threads", "", "-coalesce-threads", "", "-latency-threads", "", "-clock-threads", "2", "-no-baseline", "-diff", "", "-out", benchOut}, "clock sweep (2 goroutines, modes global,pof,deferred)"},
+		{"tmbench", []string{"-quick", "-threads", "1,2", "-workloads", "buffer,parsec/x264", "-out", benchOut}, "retry-orig sweep"},
+		{"tmbench", []string{"-quick", "-threads", "1,2", "-workloads", "buffer", "-mechs", "retry,await", "-orig-threads", "2", "-adaptive-threads", "2", "-no-baseline", "-out", benchOut}, "adaptive sweep"},
+		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-orig-threads", "2", "-adaptive-threads", "", "-coalesce-threads", "2", "-no-baseline", "-out", benchOut}, "coalesce sweep"},
+		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-orig-threads", "", "-adaptive-threads", "", "-coalesce-threads", "2", "-latency-threads", "2", "-max-delay", "10ms", "-no-baseline", "-diff", "", "-out", benchOut}, "latency verdict: HOLDS"},
 		{"tmcheck", []string{"-n", "1", "-seed", "2", "-inject"}, "OK: all injected violations caught"},
 		{"tmstress", []string{"-engine", "hybrid", "-mech", "retry", "-threads", "4", "-seconds", "0.3", "-cap", "2"}, "OK"},
 		{"boundedbuffer", []string{"-quick", "-engine", "eager", "-ops", "2048", "-trials", "1"}, "bounded buffer performance"},
@@ -154,7 +153,7 @@ func TestSmokeCommands(t *testing.T) {
 		{"tmlint", []string{"-list"}, "lockorder"},
 		{"tmlint", []string{"-list"}, "bumporder"},
 		{"tmlint", []string{"-analyzers", "monoclock,padcheck", "./internal/core/"}, "tmlint: ok"},
-		{"tmlint", []string{"-analyzers", "bumporder,commitstamp,extrecheck,lockverflow", "./internal/stm/...", "./internal/hybrid/", "./internal/htm/"}, "tmlint: ok"},
+		{"tmlint", []string{"-analyzers", "bumporder,commitstamp,extrecheck", "./internal/stm/...", "./internal/hybrid/", "./internal/htm/"}, "tmlint: ok"},
 		{"tmlint", []string{"-json", "./internal/locktable/"}, `"ok": true`},
 	}
 	for _, c := range cases {
@@ -221,8 +220,8 @@ func TestSmokeTmlintUsage(t *testing.T) {
 // directives in effect at the reported line.
 func TestSmokeTmlintJSON(t *testing.T) {
 	bin := filepath.Join(smokeBinaries(t), "tmlint")
-	fixture := filepath.Join("internal", "lint", "testdata", "src", "lockverflow")
-	cmd := exec.Command(bin, "-json", "-analyzers", "lockverflow", fixture)
+	fixture := filepath.Join("internal", "lint", "testdata", "src", "bumporder")
+	cmd := exec.Command(bin, "-json", "-analyzers", "bumporder", fixture)
 	cmd.Dir = repoRoot(t)
 	out, err := cmd.Output()
 	ee, ok := err.(*exec.ExitError)
@@ -250,20 +249,20 @@ func TestSmokeTmlintJSON(t *testing.T) {
 	}
 	foundDirective := false
 	for _, v := range rep.Violations {
-		if v.Analyzer != "lockverflow" {
-			t.Errorf("violation names analyzer %q, want lockverflow", v.Analyzer)
+		if v.Analyzer != "bumporder" {
+			t.Errorf("violation names analyzer %q, want bumporder", v.Analyzer)
 		}
-		if !strings.Contains(v.File, "lockverflow") || v.Line == 0 || v.Col == 0 || v.Message == "" {
+		if !strings.Contains(v.File, "bumporder") || v.Line == 0 || v.Col == 0 || v.Message == "" {
 			t.Errorf("violation missing position or message: %+v", v)
 		}
 		for _, d := range v.Directives {
-			if d == "tm:lock-acquire" {
+			if d == "tm:republish" {
 				foundDirective = true
 			}
 		}
 	}
 	if !foundDirective {
-		t.Errorf("no violation carried the tm:lock-acquire directive context: %+v", rep.Violations)
+		t.Errorf("no violation carried the tm:republish directive context: %+v", rep.Violations)
 	}
 }
 
@@ -280,7 +279,6 @@ func TestSmokeTmcheckRejectsContradictoryFlags(t *testing.T) {
 		{"-n", "1", "-max-delay", "2ms"},
 		{"-n", "1", "-coalesce", "2", "-max-delay", "0s"},
 		{"-n", "1", "-coalesce", "2", "-max-delay", "-1ms"},
-		{"-n", "1", "-clock", "bogus"},
 		{"-zipf", "-0.5"},
 		{"-phases", "10:bogus"},
 		{"-phases", "0:counters"},

@@ -45,8 +45,6 @@ type controller struct {
 	enabled  bool
 	forced   bool
 	window   uint64
-	grow     float64
-	shrink   float64
 	min, max int
 	schedule []int
 
@@ -62,6 +60,21 @@ type controller struct {
 	lastCommits, lastAborts, lastAttempts       uint64
 }
 
+// adaptGrow is the futile-scan threshold above which the controller
+// doubles the stripe count: futile wakeup-scan visits (wake checks plus
+// Retry-Orig registry checks that woke nobody) per writer commit in the
+// window — one wasted visit per 200 commits. adaptShrink is the
+// total-scan threshold below which a window counts as quiet: only after
+// quietCommits of quiet windows — near-zero waiter visits per commit,
+// useful or not — does the controller halve the stripe count. The
+// asymmetry (grow on one bad window, shrink on sustained silence) plus
+// the gap between the thresholds is the hysteresis that prevents
+// oscillation.
+const (
+	adaptGrow   = 0.005
+	adaptShrink = 0.0005
+)
+
 // quietCommits is how many consecutive below-shrink-threshold commits it
 // takes before the controller halves the stripe count. Growing reacts to
 // a single bad window (futile scans are pure waste); shrinking waits for
@@ -74,7 +87,6 @@ const quietCommits = 4096
 
 func (c *controller) init(cfg tm.Config) {
 	c.window = uint64(cfg.AdaptWindow)
-	c.grow, c.shrink = cfg.AdaptGrow, cfg.AdaptShrink
 	c.min, c.max = cfg.MinStripes, cfg.MaxStripes
 	if cfg.ResizeEvery > 0 && len(cfg.ResizeSchedule) > 0 {
 		c.forced = true
@@ -152,10 +164,10 @@ func (cs *CondSync) maybeAdapt() {
 
 	cur := cs.tier.Load().view.NumStripes()
 	switch {
-	case load > c.grow && cur*2 <= c.max:
+	case load > adaptGrow && cur*2 <= c.max:
 		c.quiet = 0
 		cs.resizeLocked(cur * 2)
-	case total < c.shrink && abortRate < 0.5:
+	case total < adaptShrink && abortRate < 0.5:
 		// Shrinking is cheap to be wrong about upward (the next window
 		// regrows) but the scan stats of an abort-heavy window are too
 		// noisy to act on, so high-churn windows keep the current count.

@@ -1,9 +1,8 @@
 // Package flow provides the control-flow substrate for tmlint's
-// ordering/dataflow analyzers: per-function control-flow graphs built
-// from go/ast, dominator trees, and a small forward reaching-facts
-// engine. Like the rest of internal/lint it is built on the standard
-// library alone, mirroring the shape of golang.org/x/tools/go/cfg and
-// the x/tools dataflow idioms without depending on them.
+// flow-sensitive analyzers: per-function control-flow graphs built
+// from go/ast, and dominator trees over them. Like the rest of
+// internal/lint it is built on the standard library alone, mirroring
+// the shape of golang.org/x/tools/go/cfg without depending on it.
 //
 // The CFG is built at a granularity chosen for the clock–version
 // protocol checks: short-circuit conditions (`a && b && c` chains, the

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"strings"
 	"testing"
 )
 
@@ -395,108 +394,6 @@ func one(); func two(); func other(); func mid(); func recv(); func none(); func
 	}
 	if !g.NodeDominates(d, mid, end) {
 		t.Errorf("mid dominates the select join")
-	}
-}
-
-func TestReachingFacts(t *testing.T) {
-	// gen() plants a fact; kill() removes it. The fact reaches use()
-	// only on paths avoiding kill().
-	src := `
-func f(c bool) {
-	gen()
-	if c {
-		kill()
-	}
-	use()
-}
-func gen(); func kill(); func use()
-`
-	_, fd, g := parseFunc(t, src, Options{})
-	fset := token.NewFileSet()
-	genCall := findCall(t, fset, fd, "gen")
-	killCall := findCall(t, fset, fd, "kill")
-	use := findCall(t, fset, fd, "use")
-
-	const fact = "planted"
-	callOf := func(n ast.Node) *ast.CallExpr {
-		if es, ok := n.(*ast.ExprStmt); ok {
-			if c, ok := es.X.(*ast.CallExpr); ok {
-				return c
-			}
-		}
-		return nil
-	}
-	r := Reach(g, func(n ast.Node) Transfer {
-		c := callOf(n)
-		switch {
-		case c == genCall:
-			return Transfer{Gen: []any{fact}}
-		case c == killCall:
-			return Transfer{Kill: []any{fact}}
-		}
-		return Transfer{}
-	})
-	if !r.Before(use)[fact] {
-		t.Errorf("fact should reach use() via the kill-free path (may-analysis)")
-	}
-	if !r.AtExit()[fact] {
-		t.Errorf("fact should reach exit via the kill-free path")
-	}
-
-	// With an unconditional kill the fact must not survive.
-	src2 := strings.Replace(src, "if c {\n\t\tkill()\n\t}", "kill()", 1)
-	_, fd2, g2 := parseFunc(t, src2, Options{})
-	gen2 := findCall(t, fset, fd2, "gen")
-	kill2 := findCall(t, fset, fd2, "kill")
-	use2 := findCall(t, fset, fd2, "use")
-	r2 := Reach(g2, func(n ast.Node) Transfer {
-		c := callOf(n)
-		switch {
-		case c == gen2:
-			return Transfer{Gen: []any{fact}}
-		case c == kill2:
-			return Transfer{Kill: []any{fact}}
-		}
-		return Transfer{}
-	})
-	if r2.Before(use2)[fact] {
-		t.Errorf("fact must not survive an unconditional kill")
-	}
-	if r2.Before(kill2)[fact] != true {
-		t.Errorf("Before(kill) is evaluated before the node's own kill")
-	}
-}
-
-func TestReachingFactsLoop(t *testing.T) {
-	// A fact generated inside a loop body reaches the loop condition
-	// on the next iteration (back edge) and the loop exit.
-	_, fd, g := parseFunc(t, `
-func f() {
-	for cond() {
-		gen()
-	}
-	use()
-}
-func cond() bool; func gen(); func use()
-`, Options{})
-	fset := token.NewFileSet()
-	genCall := findCall(t, fset, fd, "gen")
-	use := findCall(t, fset, fd, "use")
-	condE := findCond(t, fset, fd, g, "cond()")
-	const fact = "looped"
-	r := Reach(g, func(n ast.Node) Transfer {
-		if es, ok := n.(*ast.ExprStmt); ok {
-			if c, ok := es.X.(*ast.CallExpr); ok && c == genCall {
-				return Transfer{Gen: []any{fact}}
-			}
-		}
-		return Transfer{}
-	})
-	if !r.Before(condE)[fact] {
-		t.Errorf("fact should flow around the back edge to the loop condition")
-	}
-	if !r.Before(use)[fact] {
-		t.Errorf("fact should reach the loop exit")
 	}
 }
 

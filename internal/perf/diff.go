@@ -7,8 +7,24 @@ import (
 	"sort"
 )
 
-// LoadReport reads a previously emitted benchmark report (any
-// tmsync-bench/1 file, e.g. BENCH_PR2.json) for trajectory diffing.
+// schemaV1 is the layout before the experiment table: one array of
+// points per experiment, each beside its own verdict object.
+const schemaV1 = "tmsync-bench/1"
+
+// v1Sweeps maps a tmsync-bench/1 report's per-experiment point arrays to
+// experiment names.
+var v1Sweeps = []struct{ key, exp string }{
+	{"stripe_sweep", "stripe"},
+	{"orig_sweep", "retry-orig"},
+	{"adaptive_sweep", "adaptive"},
+	{"coalesce_sweep", "coalesce"},
+	{"latency_sweep", "latency"},
+}
+
+// LoadReport reads a previously emitted benchmark report for trajectory
+// diffing and prior-baseline checks. A tmsync-bench/1 file (e.g. the
+// committed BENCH_PR2..9.json) loads with its per-experiment arrays
+// folded into Points, tagged; its verdict objects are not read.
 func LoadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -18,8 +34,27 @@ func LoadReport(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, fmt.Errorf("perf: %s: %w", path, err)
 	}
-	if rep.Schema != Schema {
-		return nil, fmt.Errorf("perf: %s has schema %q, want %q", path, rep.Schema, Schema)
+	switch rep.Schema {
+	case Schema:
+	case schemaV1:
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(data, &raw); err != nil {
+			return nil, fmt.Errorf("perf: %s: %w", path, err)
+		}
+		for _, s := range v1Sweeps {
+			var pts []Point
+			if raw[s.key] != nil {
+				if err := json.Unmarshal(raw[s.key], &pts); err != nil {
+					return nil, fmt.Errorf("perf: %s: %s: %w", path, s.key, err)
+				}
+			}
+			for i := range pts {
+				pts[i].Experiment = s.exp
+			}
+			rep.Points = append(rep.Points, pts...)
+		}
+	default:
+		return nil, fmt.Errorf("perf: %s has schema %q, want %q or %q", path, rep.Schema, Schema, schemaV1)
 	}
 	return &rep, nil
 }
@@ -46,7 +81,7 @@ func DiffReports(old, cur *Report) []string {
 	accumulate := func(points []Point) map[cellKey]*sums {
 		m := make(map[cellKey]*sums)
 		for _, p := range points {
-			if p.Commits == 0 {
+			if p.Experiment != "" || p.Commits == 0 {
 				continue
 			}
 			k := cellKey{p.Workload, p.Engine, p.Mech, p.Threads}

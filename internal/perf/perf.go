@@ -1,21 +1,24 @@
-// Package perf is the seeded benchmark pipeline behind BENCH_PR2.json:
-// a sweep driver that runs every TM engine × condition-synchronization
-// mechanism over the repository's workloads (the lane-partitioned bounded
-// buffer and the eight PARSEC concurrency skeletons) across a ladder of
-// goroutine counts, from a fixed seed, and emits one machine-readable
-// report per invocation. The report is the performance trajectory later
-// PRs diff against: throughput, abort rate, the quantity the sharded orec
-// table exists to shrink — wakeup-scan work per commit — and, since the
-// CoalesceMaxDelay age bound, sleep-to-signal wake latency.
+// Package perf is the seeded benchmark pipeline behind the BENCH_PR*.json
+// reports: a sweep that runs every TM engine × condition-
+// synchronization mechanism over the repository's workloads (the
+// lane-partitioned bounded buffer and the eight PARSEC concurrency
+// skeletons) across a ladder of goroutine counts, from a fixed seed, plus
+// the rows of an experiment table (see experiments.go), each a set of
+// cells and a verdict pinning one claim. One machine-readable report per
+// invocation is the performance trajectory later changes diff against:
+// throughput, abort rate, wakeup-scan work per commit, and
+// sleep-to-signal wake latency.
 //
 // Every run also self-checks: PARSEC checksums are diffed against the
-// sequential reference, so a benchmark that silently computes the wrong
-// thing fails instead of reporting a meaningless number.
+// sequential reference, and the experiment-only workloads check token
+// conservation, so a benchmark that silently computes the wrong thing
+// fails instead of reporting a meaningless number.
 package perf
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -32,21 +35,24 @@ import (
 )
 
 // Schema identifies the report layout; bump on incompatible change.
-const Schema = "tmsync-bench/1"
+const Schema = "tmsync-bench/2"
 
 // Options parameterizes one sweep. Zero values select defaults.
 type Options struct {
 	// Seed feeds the produced value streams; recorded in the report so a
 	// run can be reproduced exactly.
 	Seed uint64
-	// Threads is the goroutine-count ladder (default 1, 2, 4, 8).
+	// Threads is the main sweep's goroutine-count ladder (default 1, 2,
+	// 4, 8). Experiments carry their own ladders.
 	Threads []int
 	// Engines restricts the engine axis (default: all four).
 	Engines []string
-	// Mechs restricts the mechanism axis (default: all TM mechanisms;
-	// the Pthreads baseline is always measured once per workload cell).
+	// Mechs restricts the main sweep's mechanism axis (default: all TM
+	// mechanisms; the Pthreads baseline is always measured once per
+	// workload cell).
 	Mechs []mech.Mechanism
-	// Workloads restricts the workload axis (default: Workloads()).
+	// Workloads restricts the main sweep's workload axis (default:
+	// Workloads()); without "buffer", experiments skip their buffer cells.
 	Workloads []string
 	// BufferOps is the number of operations each bounded-buffer worker
 	// performs (default 2000).
@@ -58,79 +64,23 @@ type Options struct {
 	Scale int
 	// Trials repeats every cell (default 1); each trial is one point.
 	Trials int
-	// SweepStripes is the stripe-count axis of the bounded-buffer stripe
-	// sweep (default {1, 64}: the global table versus the sharded one).
+	// SweepStripes is the static stripe-count axis of the experiments
+	// (default {1, 64}: the global table versus the sharded one).
 	SweepStripes []int
 	// Baseline includes the Pthreads lock+condvar baseline per workload.
 	Baseline bool
-
-	// OrigThreads is the goroutine ladder of the Retry-Orig contention
-	// sweep; empty skips the sweep (cmd/tmbench passes 8,16 by default).
-	// Each cell is a token ring of that many Retry-Orig workers, run on
-	// the STM engines at every SweepStripes count, both batched and
-	// unbatched — the A/B for the sharded registry and the per-commit
-	// signal batch.
-	OrigThreads []int
-	// OrigPasses is the number of token hand-offs each ring worker
-	// performs (default 400).
-	OrigPasses int
-	// OrigWindow is the number of ring slots each worker reads per
-	// attempt (default 4): window reads inflate the sleeper's orec set
-	// across registry shards and create the futile-wakeup crosstalk the
-	// sweep is meant to stress.
-	OrigWindow int
-
-	// AdaptiveThreads is the goroutine ladder of the adaptive-vs-static
-	// sweep; empty skips it (cmd/tmbench passes 8 by default). Each rung
-	// reruns the stripe sweep's wakeup-bound cells (buffer under Retry
-	// and Await, the Retry-Orig token ring) with the adaptive controller
-	// enabled and a deliberately wrong starting count of one stripe,
-	// bounded by [1, max(SweepStripes)] — the static cells of the stripe
-	// and Retry-Orig sweeps are the baselines the verdict compares
-	// against.
-	AdaptiveThreads []int
-	// AdaptiveOrigPasses is the token hand-offs per ring worker in the
-	// adaptive Retry-Orig cells. Defaults to OrigPasses: the ring's
-	// scan-cost rate drifts with run length on a loaded machine, so the
-	// adaptive cells must run exactly as long as the static baseline
-	// they are judged against.
-	AdaptiveOrigPasses int
-
-	// CoalesceThreads is the goroutine ladder of the cross-commit wakeup
-	// coalescing sweep; empty skips it (cmd/tmbench passes 8 by default).
-	// Each rung measures the tight-loop producer workload at every
-	// CoalesceKs value, plus the bounded buffer (Retry and Await) and the
-	// Retry-Orig token ring at {0, max K} as regression guards: those
-	// workloads block constantly, so their scans flush at the block bound
-	// and coalescing must neither help nor hurt them much.
-	CoalesceThreads []int
-	// CoalesceKs lists the Config.CoalesceCommits values the tight-loop
-	// cells measure (default {0, 2, 8}; 0 — scan every commit — is the
-	// baseline the verdict compares against and is always included).
-	CoalesceKs []int
-	// TightloopOps is the number of tight-loop producer commits per lane
-	// (default 2000, rounded up to a TightloopBatch multiple);
-	// TightloopBatch is the consumer's claim size (default 200).
-	TightloopOps, TightloopBatch int
-
-	// LatencyThreads is the goroutine ladder of the wake-latency sweep;
-	// empty skips it (cmd/tmbench passes 8 by default). Each rung runs the
-	// tightloop/idle workload — producers that go idle on a plain Go
-	// channel with wake scans still pending, the exact shape of the
-	// stranding bug — and measures sleep-to-signal latency where only the
-	// CoalesceMaxDelay age backstop can deliver the wakeup.
-	LatencyThreads []int
-	// LatencyMaxDelay is the Config.CoalesceMaxDelay the latency cells run
-	// with (default 25ms). LatencySlack is the scheduling allowance the
-	// verdict grants on top of it (default 20ms): the backstop wakes
-	// within OS-timer and scheduler slack of the deadline, not at it.
-	LatencyMaxDelay, LatencySlack time.Duration
-	// LatencyRounds is the number of burst/claim hand-offs per lane
-	// (default 12; each round records one consumer sleep). LatencyBurst is
-	// the commits per producer burst (default 8); the cells run
-	// CoalesceCommits at four times this, so no commit-count bound can
-	// preempt the age bound being measured.
-	LatencyRounds, LatencyBurst int
+	// Experiments names the experiment-table rows to run beside the main
+	// sweep (see ExperimentNames; nil runs none).
+	Experiments []string
+	// Quick runs the experiments' workloads at reduced operation counts
+	// (CI and smoke runs).
+	Quick bool
+	// LatencyMaxDelay is the Config.CoalesceMaxDelay the latency
+	// experiment's cells run with and its verdict bounds (default 25ms).
+	LatencyMaxDelay time.Duration
+	// Prior is the previous report that prior-baseline checks compare
+	// against (nil: those checks hold vacuously).
+	Prior *Report
 
 	// Progress, when set, receives one call per completed point.
 	Progress func(done, total int, p Point)
@@ -167,50 +117,8 @@ func (o Options) withDefaults() Options {
 	if len(o.SweepStripes) == 0 {
 		o.SweepStripes = []int{1, 64}
 	}
-	if o.OrigPasses == 0 {
-		// 1200 passes x 8 workers ≈ 10k commits per cell: the ring's
-		// scan-cost rates carry ±20% run noise at a few thousand commits,
-		// which the adaptive-vs-static 10% comparison cannot tolerate.
-		o.OrigPasses = 1200
-	}
-	if o.OrigWindow == 0 {
-		o.OrigWindow = 4
-	}
-	if o.AdaptiveOrigPasses == 0 {
-		o.AdaptiveOrigPasses = o.OrigPasses
-	}
-	if len(o.CoalesceKs) == 0 {
-		o.CoalesceKs = []int{0, 2, 8}
-	}
-	hasZero := false
-	for _, k := range o.CoalesceKs {
-		if k == 0 {
-			hasZero = true
-		}
-	}
-	if !hasZero {
-		o.CoalesceKs = append([]int{0}, o.CoalesceKs...)
-	}
-	if o.TightloopOps == 0 {
-		o.TightloopOps = 2000
-	}
-	if o.TightloopBatch == 0 {
-		// A longer batch keeps consumers asleep through longer futile-scan
-		// runs — the regime coalescing targets — without changing the
-		// workload's total work.
-		o.TightloopBatch = 200
-	}
 	if o.LatencyMaxDelay == 0 {
 		o.LatencyMaxDelay = 25 * time.Millisecond
-	}
-	if o.LatencySlack == 0 {
-		o.LatencySlack = 20 * time.Millisecond
-	}
-	if o.LatencyRounds == 0 {
-		o.LatencyRounds = 12
-	}
-	if o.LatencyBurst == 0 {
-		o.LatencyBurst = 8
 	}
 	return o
 }
@@ -225,18 +133,21 @@ func Workloads() []string {
 	return out
 }
 
-// Point is one measured cell: workload × engine × mechanism × goroutine
-// count (× stripe count, for the stripe sweep).
+// Point is one measured run of a cell: workload × engine × mechanism ×
+// goroutine count × knobs.
 type Point struct {
-	Workload string `json:"workload"`
-	Engine   string `json:"engine"` // "none" for the Pthreads baseline
-	Mech     string `json:"mech"`
-	Threads  int    `json:"threads"`
+	// Experiment names the experiment-table row the point belongs to (""
+	// for the main sweep).
+	Experiment string `json:"experiment,omitempty"`
+	Workload   string `json:"workload"`
+	Engine     string `json:"engine"` // "none" for the Pthreads baseline
+	Mech       string `json:"mech"`
+	Threads    int    `json:"threads"`
 	// Stripes is the orec-table stripe count (0 = engine default).
 	Stripes int `json:"stripes,omitempty"`
 	// Unbatched marks a point measured with signal-at-claim wakeup
 	// delivery instead of the per-commit signal batch (the A/B baseline
-	// of the Retry-Orig contention sweep).
+	// of the retry-orig experiment).
 	Unbatched bool `json:"unbatched,omitempty"`
 	// Adaptive marks a point measured with the online stripe controller
 	// enabled; Stripes is then the (deliberately wrong) starting count.
@@ -322,172 +233,25 @@ type Point struct {
 	Checksum uint64 `json:"checksum,omitempty"`
 }
 
-// StripeVerdict summarizes the stripe sweep at the highest goroutine
-// count: aggregate wakeup-scan work per commit under the fewest versus the
-// most stripes. Improved is the PR's headline claim — sharding makes the
-// post-commit wakeup cheaper.
-type StripeVerdict struct {
-	Workload             string  `json:"workload"`
-	Threads              int     `json:"threads"`
-	LowStripes           int     `json:"low_stripes"`
-	HighStripes          int     `json:"high_stripes"`
-	WakeupsPerCommitLow  float64 `json:"wakeups_per_commit_low_stripes"`
-	WakeupsPerCommitHigh float64 `json:"wakeups_per_commit_high_stripes"`
-	Improved             bool    `json:"improved"`
-}
-
-// OrigVerdict summarizes the Retry-Orig contention sweep at 8 goroutines
-// (the acceptance point; the ladder also measures 16): the unsharded,
-// unbatched baseline — one registry shard, signal-at-claim delivery, i.e.
-// the pre-sharding implementation — against the sharded registry with the
-// per-commit signal batch. ChecksImproved is the headline claim: a
-// committing writer examines fewer sleeping Retry-Orig entries when it
-// takes only the registry shards of stripes in its lock set.
-type OrigVerdict struct {
-	Workload  string `json:"workload"`
-	Threads   int    `json:"threads"`
-	Baseline  string `json:"baseline"` // e.g. "1 stripe, unbatched"
-	Candidate string `json:"candidate"`
-
-	OrigChecksPerCommitBaseline  float64 `json:"orig_checks_per_commit_baseline"`
-	OrigChecksPerCommitCandidate float64 `json:"orig_checks_per_commit_candidate"`
-	SignalsPerCommitBaseline     float64 `json:"signals_per_commit_baseline"`
-	SignalsPerCommitCandidate    float64 `json:"signals_per_commit_candidate"`
-	ThroughputBaseline           float64 `json:"throughput_baseline"`
-	ThroughputCandidate          float64 `json:"throughput_candidate"`
-
-	ChecksImproved  bool `json:"checks_improved"`
-	SignalsImproved bool `json:"signals_improved"`
-	Improved        bool `json:"improved"`
-}
-
-// AdaptiveVerdict summarizes the adaptive-vs-static sweep at 8 goroutines
-// (the acceptance point): starting from a deliberately wrong stripe count
-// of 1, the online controller must converge and land the full-run
-// wakeup-scan cost — convergence transient included — within 10% of the
-// best static configuration, on both the wakeup-bound buffer cells
-// (wake-checks per commit, Retry and Await across all engines) and the
-// Retry-Orig token ring (registry checks per commit).
-type AdaptiveVerdict struct {
-	Threads      int `json:"threads"`
-	StartStripes int `json:"start_stripes"`
-	MaxStripes   int `json:"max_stripes"`
-
-	BufferBestStaticStripes   int     `json:"buffer_best_static_stripes"`
-	BufferChecksPerCommitBest float64 `json:"buffer_wake_checks_per_commit_best_static"`
-	BufferChecksPerCommitAdap float64 `json:"buffer_wake_checks_per_commit_adaptive"`
-	BufferWithin10Pct         bool    `json:"buffer_within_10pct"`
-
-	OrigBestStaticStripes   int     `json:"origring_best_static_stripes"`
-	OrigChecksPerCommitBest float64 `json:"origring_checks_per_commit_best_static"`
-	OrigChecksPerCommitAdap float64 `json:"origring_checks_per_commit_adaptive"`
-	OrigWithin10Pct         bool    `json:"origring_within_10pct"`
-
-	// Converged is the headline claim: both workloads landed within 10%.
-	Converged bool `json:"converged"`
-}
-
-// CoalesceVerdict summarizes the cross-commit wakeup coalescing sweep at
-// 8 goroutines (the acceptance point): the tight-loop producer workload —
-// writers committing back-to-back with WaitPred consumers asleep on the
-// unindexed list, the structure coalescing exists for — must pay fewer
-// wake-scan checks per commit at the highest measured CoalesceCommits than
-// at 0, while the bounded buffer and the Retry-Orig token ring, whose
-// threads block constantly (so almost every scan flushes at the block
-// bound), must not regress beyond noise.
-type CoalesceVerdict struct {
-	Threads int `json:"threads"`
-	K       int `json:"k"` // highest CoalesceCommits measured
-
-	TightloopChecksPerCommitOff float64 `json:"tightloop_wake_checks_per_commit_off"`
-	TightloopChecksPerCommitOn  float64 `json:"tightloop_wake_checks_per_commit_on"`
-	TightloopThroughputOff      float64 `json:"tightloop_throughput_off"`
-	TightloopThroughputOn       float64 `json:"tightloop_throughput_on"`
-	TightloopImproved           bool    `json:"tightloop_improved"`
-
-	// The guard claims hold vacuously (rates zero, bool true) when the
-	// guard's cells were filtered out of the sweep by -workloads/-engines.
-	BufferChecksPerCommitOff float64 `json:"buffer_wake_checks_per_commit_off"`
-	BufferChecksPerCommitOn  float64 `json:"buffer_wake_checks_per_commit_on"`
-	BufferNoRegression       bool    `json:"buffer_no_regression"`
-
-	OrigChecksPerCommitOff float64 `json:"origring_checks_per_commit_off"`
-	OrigChecksPerCommitOn  float64 `json:"origring_checks_per_commit_on"`
-	OrigNoRegression       bool    `json:"origring_no_regression"`
-
-	// Improved is the headline claim: the tight-loop scans got cheaper and
-	// neither blocking workload regressed.
-	Improved bool `json:"improved"`
-}
-
-// LatencyVerdict summarizes the wake-latency sweep at 8 goroutines (or
-// the sweep's highest rung): on the tightloop/idle workload — producers
-// that go idle on a plain channel with wake scans still pending, so only
-// the CoalesceMaxDelay age backstop can wake the sleeping consumers — the
-// worst measured cell's p99 sleep-to-signal latency must stay within the
-// configured bound plus a scheduling slack. The throughput fields compare
-// this run's coalesce-sweep tight-loop throughput at the highest K
-// against the prior report's (cmd/tmbench fills them; the guard passes
-// vacuously without a prior report): bounding wake latency must not cost
-// the tight loop the scans coalescing saved.
-type LatencyVerdict struct {
-	Workload   string `json:"workload"`
-	Threads    int    `json:"threads"`
-	K          int    `json:"k"` // CoalesceCommits the cells ran with
-	MaxDelayNs int64  `json:"max_delay_ns"`
-	SlackNs    int64  `json:"slack_ns"`
-
-	// Sleeps pools every cell at the verdict rung; the quantiles are the
-	// WORST cell's (max over per-cell quantiles — pooling raw samples
-	// would let a fast engine's sleeps dilute a slow engine's tail).
-	Sleeps uint64 `json:"sleeps"`
-	P50Ns  int64  `json:"p50_ns"`
-	P99Ns  int64  `json:"p99_ns"`
-	MaxNs  int64  `json:"max_ns"`
-	// WithinBound additionally requires that sleeps were actually timed:
-	// a run whose consumers never slept proves nothing about latency.
-	WithinBound bool `json:"within_bound"`
-
-	TightloopThroughputPrior float64 `json:"tightloop_throughput_prior,omitempty"`
-	TightloopThroughput      float64 `json:"tightloop_throughput,omitempty"`
-	ThroughputWithin10Pct    bool    `json:"throughput_within_10pct"`
-
-	// Holds is the headline claim: no waiter sleeps past the age bound
-	// (plus slack) while its notifier idles, at no material throughput
-	// cost.
-	Holds bool `json:"holds"`
-}
-
 // Report is the machine-readable result of one sweep (BENCH_PR<N>.json).
 type Report struct {
-	Schema          string           `json:"schema"`
-	Generated       string           `json:"generated"`
-	Seed            uint64           `json:"seed"`
-	Threads         []int            `json:"threads"`
-	Engines         []string         `json:"engines"`
-	Mechs           []string         `json:"mechs"`
-	Workloads       []string         `json:"workloads"`
-	BufferOps       int              `json:"buffer_ops"`
-	BufferCap       int              `json:"buffer_cap"`
-	Scale           int              `json:"scale"`
-	SweepStripes    []int            `json:"sweep_stripes"`
-	OrigThreads     []int            `json:"orig_threads,omitempty"`
-	OrigPasses      int              `json:"orig_passes,omitempty"`
-	AdaptiveThreads []int            `json:"adaptive_threads,omitempty"`
-	Points          []Point          `json:"points"`
-	StripeSweep     []Point          `json:"stripe_sweep"`
-	StripeVerdict   *StripeVerdict   `json:"stripe_verdict,omitempty"`
-	OrigSweep       []Point          `json:"orig_sweep,omitempty"`
-	OrigVerdict     *OrigVerdict     `json:"orig_verdict,omitempty"`
-	AdaptiveSweep   []Point          `json:"adaptive_sweep,omitempty"`
-	AdaptiveVerdict *AdaptiveVerdict `json:"adaptive_verdict,omitempty"`
-	CoalesceThreads []int            `json:"coalesce_threads,omitempty"`
-	CoalesceKs      []int            `json:"coalesce_ks,omitempty"`
-	CoalesceSweep   []Point          `json:"coalesce_sweep,omitempty"`
-	CoalesceVerdict *CoalesceVerdict `json:"coalesce_verdict,omitempty"`
-	LatencyThreads  []int            `json:"latency_threads,omitempty"`
-	LatencySweep    []Point          `json:"latency_sweep,omitempty"`
-	LatencyVerdict  *LatencyVerdict  `json:"latency_verdict,omitempty"`
+	Schema       string   `json:"schema"`
+	Generated    string   `json:"generated"`
+	Seed         uint64   `json:"seed"`
+	Threads      []int    `json:"threads"`
+	Engines      []string `json:"engines"`
+	Mechs        []string `json:"mechs"`
+	Workloads    []string `json:"workloads"`
+	BufferOps    int      `json:"buffer_ops"`
+	BufferCap    int      `json:"buffer_cap"`
+	Scale        int      `json:"scale"`
+	SweepStripes []int    `json:"sweep_stripes"`
+	Experiments  []string `json:"experiments,omitempty"`
+	Quick        bool     `json:"quick,omitempty"`
+	// Points holds the main sweep (Experiment "") and every experiment's
+	// cells, tagged with the experiment's name.
+	Points   []Point   `json:"points"`
+	Verdicts []Verdict `json:"verdicts,omitempty"`
 }
 
 // runTimed executes one cell's measured section and returns its elapsed
@@ -500,18 +264,32 @@ func runTimed(fn func()) float64 {
 	return mono.Timed(fn).Seconds()
 }
 
-// mechRuns reports whether mechanism m runs on engine e.
-func mechRuns(e string, m mech.Mechanism) bool {
-	for _, x := range mech.ForEngine(e) {
-		if x == m {
-			return true
-		}
-	}
-	return false
+// cell is one measured configuration; each of its reps × Options.Trials
+// runs is one point.
+type cell struct {
+	exp      string // "" for the main sweep
+	workload string
+	engine   string
+	m        mech.Mechanism
+	threads  int
+	knobs    harness.Knobs
+	reps     int
+	ops      int // experiment-only workloads' size (see cellSpec)
 }
 
-// Run executes the sweep. It fails fast on any workload self-check
-// failure (a PARSEC checksum deviating from the sequential reference).
+// point returns the cell's identifying fields for one run.
+func (c cell) point(trial int) Point {
+	return Point{
+		Experiment: c.exp, Workload: c.workload, Engine: c.engine, Mech: string(c.m), Threads: c.threads,
+		Stripes: c.knobs.Stripes, Unbatched: c.knobs.Unbatched, Adaptive: c.knobs.MaxStripes > 0,
+		Coalesce: c.knobs.CoalesceCommits, MaxDelayNs: int64(c.knobs.CoalesceMaxDelay), Trial: trial,
+	}
+}
+
+// Run executes the main sweep and the selected experiments, then judges
+// the experiments. It fails fast on any workload self-check failure (a
+// PARSEC checksum deviating from the sequential reference, or lost
+// tokens in an experiment workload).
 func Run(o Options) (*Report, error) {
 	o = o.withDefaults()
 	for _, s := range o.SweepStripes {
@@ -530,6 +308,10 @@ func Run(o Options) (*Report, error) {
 			return nil, fmt.Errorf("perf: unknown workload %q (have %s)", w, strings.Join(Workloads(), ", "))
 		}
 	}
+	exps, err := o.selected()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		Schema:       Schema,
 		Generated:    time.Now().UTC().Format(time.RFC3339), //tm:wallclock — report timestamp, not a measurement
@@ -541,30 +323,12 @@ func Run(o Options) (*Report, error) {
 		BufferCap:    o.BufferCap,
 		Scale:        o.Scale,
 		SweepStripes: o.SweepStripes,
+		Quick:        o.Quick,
 	}
 	for _, m := range o.Mechs {
 		rep.Mechs = append(rep.Mechs, string(m))
 	}
 
-	type cell struct {
-		workload  string
-		engine    string
-		m         mech.Mechanism
-		threads   int
-		stripes   int
-		sweep     bool
-		orig      bool
-		unbatched bool
-		adaptive  bool
-		coal      bool // belongs to the coalesce sweep
-		lat       bool // belongs to the wake-latency sweep
-		coalesce  int  // Config.CoalesceCommits for the cell
-		maxDelay  time.Duration
-		// reps repeats the cell (multiplied by Trials): the Retry-Orig
-		// ring's scan rate carries heavy scheduling noise per run, and
-		// pooled repetitions are what make a 10% comparison meaningful.
-		reps int
-	}
 	var cells []cell
 	for _, w := range o.Workloads {
 		for _, threads := range o.Threads {
@@ -576,219 +340,58 @@ func Run(o Options) (*Report, error) {
 			}
 			for _, e := range o.Engines {
 				for _, m := range o.Mechs {
-					if m == mech.Pthreads || !mechRuns(e, m) {
-						continue
+					if m != mech.Pthreads && slices.Contains(mech.ForEngine(e), m) {
+						cells = append(cells, cell{workload: w, engine: e, m: m, threads: threads})
 					}
-					cells = append(cells, cell{workload: w, engine: e, m: m, threads: threads})
 				}
 			}
 		}
 	}
-	// Stripe sweep: the bounded buffer under the waitset-indexed
-	// mechanisms (Retry and Await register waiters on the stripes of
-	// their waitsets; WaitPred is unindexed by construction and TMCondVar
-	// bypasses the waiter index entirely).
-	maxThreads := 0
-	for _, t := range o.Threads {
-		if t > maxThreads {
-			maxThreads = t
-		}
-	}
-	sweepWorkload := "buffer"
-	if maxThreads >= 2 && hasWorkload(o.Workloads, sweepWorkload) {
-		for _, stripes := range o.SweepStripes {
-			for _, e := range o.Engines {
-				for _, m := range []mech.Mechanism{mech.Retry, mech.Await} {
-					// reps pools allocation luck: whether two lanes'
-					// words share a stripe is decided by the heap layout
-					// each run draws, and the adaptive verdict's 10%
-					// comparison needs that averaged on both sides.
-					cells = append(cells, cell{workload: sweepWorkload, engine: e, m: m, threads: maxThreads, stripes: stripes, sweep: true, reps: 4})
-				}
-			}
-		}
-	}
-	// Retry-Orig contention sweep: the token ring on the STM engines
-	// (Retry-Orig needs orec metadata), at every sweep stripe count, both
-	// with the per-commit signal batch and without it. The {fewest
-	// stripes, unbatched} corner IS the pre-sharding implementation — one
-	// global registry scan per commit, signal-at-claim — so the sweep
-	// carries its own baseline.
-	if len(o.OrigThreads) > 0 {
-		rep.OrigThreads = o.OrigThreads
-		rep.OrigPasses = o.OrigPasses
-		for _, threads := range o.OrigThreads {
-			for _, e := range o.Engines {
-				if e != "eager" && e != "lazy" {
+	for _, x := range exps {
+		rep.Experiments = append(rep.Experiments, x.name)
+		for _, threads := range x.threads {
+			for _, spec := range x.cells {
+				if spec.workload == "buffer" && !slices.Contains(o.Workloads, "buffer") {
 					continue
 				}
-				for _, stripes := range o.SweepStripes {
-					for _, unbatched := range []bool{true, false} {
-						// The ring cells are cheap (tens of ms) and their
-						// scan rate has metastable scheduling regimes;
-						// heavy pooling is what makes the verdicts stable.
-						cells = append(cells, cell{workload: "origring", engine: e, m: mech.RetryOrig, threads: threads, stripes: stripes, orig: true, unbatched: unbatched, reps: 10})
-					}
+				ops := spec.ops
+				if o.Quick {
+					ops = spec.quickOps
 				}
-			}
-		}
-	}
-	// Adaptive-vs-static sweep: the stripe sweep's wakeup-bound buffer
-	// cells and the Retry-Orig ring, re-run with the online controller
-	// enabled and a deliberately wrong one-stripe start. The static cells
-	// above are the baselines, so only the adaptive runs are added here.
-	if len(o.AdaptiveThreads) > 0 {
-		rep.AdaptiveThreads = o.AdaptiveThreads
-		for _, threads := range o.AdaptiveThreads {
-			if hasWorkload(o.Workloads, sweepWorkload) && threads >= 2 {
-				for _, e := range o.Engines {
-					for _, m := range []mech.Mechanism{mech.Retry, mech.Await} {
-						cells = append(cells, cell{workload: sweepWorkload, engine: e, m: m, threads: threads, stripes: 1, adaptive: true, reps: 6})
-					}
-				}
-			}
-			for _, e := range o.Engines {
-				if e != "eager" && e != "lazy" {
-					continue
-				}
-				cells = append(cells, cell{workload: "origring", engine: e, m: mech.RetryOrig, threads: threads, stripes: 1, orig: true, adaptive: true, reps: 10})
-			}
-		}
-	}
-
-	// Cross-commit wakeup coalescing sweep: the tight-loop producer
-	// workload at every CoalesceCommits value, plus the blocking workloads
-	// (buffer under the waitset-indexed mechanisms, the Retry-Orig ring)
-	// at {0, max K} as regression guards. All cells run at the engines'
-	// default stripe geometry — coalescing composes with sharding; this
-	// sweep isolates the cross-commit axis.
-	coalesceMaxK := 0
-	for _, k := range o.CoalesceKs {
-		if k > coalesceMaxK {
-			coalesceMaxK = k
-		}
-	}
-	if len(o.CoalesceThreads) > 0 && coalesceMaxK > 0 {
-		rep.CoalesceThreads = o.CoalesceThreads
-		rep.CoalesceKs = o.CoalesceKs
-		for _, threads := range o.CoalesceThreads {
-			if threads < 2 {
-				continue // the tight loop needs producer/consumer pairs
-			}
-			for _, e := range o.Engines {
-				for _, k := range o.CoalesceKs {
-					cells = append(cells, cell{workload: "tightloop", engine: e, m: mech.WaitPred, threads: threads, coal: true, coalesce: k, reps: 4})
-				}
-			}
-			for _, k := range []int{0, coalesceMaxK} {
-				if hasWorkload(o.Workloads, sweepWorkload) {
+				for _, k := range spec.knobs {
 					for _, e := range o.Engines {
-						for _, m := range []mech.Mechanism{mech.Retry, mech.Await} {
-							cells = append(cells, cell{workload: sweepWorkload, engine: e, m: m, threads: threads, coal: true, coalesce: k, reps: 4})
+						for _, m := range spec.mechs {
+							if slices.Contains(mech.ForEngine(e), m) {
+								cells = append(cells, cell{exp: x.name, workload: spec.workload, engine: e, m: m, threads: threads, knobs: k, reps: spec.reps, ops: ops})
+							}
 						}
 					}
 				}
-				for _, e := range o.Engines {
-					if e != "eager" && e != "lazy" {
-						continue
-					}
-					cells = append(cells, cell{workload: "origring", engine: e, m: mech.RetryOrig, threads: threads, orig: true, coal: true, coalesce: k, reps: 10})
-				}
 			}
-		}
-	}
-	// Wake-latency sweep: the tightloop/idle workload at every
-	// LatencyThreads rung × engine, coalescing armed with the age bound.
-	// Producers go idle on a plain channel mid-round with wake scans still
-	// pending, so the cells are a direct measurement of the idle-owner
-	// backstop: without it every one of them deadlocks.
-	if len(o.LatencyThreads) > 0 {
-		rep.LatencyThreads = o.LatencyThreads
-		for _, threads := range o.LatencyThreads {
-			if threads < 2 {
-				continue // needs producer/consumer pairs
-			}
-			for _, e := range o.Engines {
-				cells = append(cells, cell{workload: "tightloop/idle", engine: e, m: mech.WaitPred, threads: threads, lat: true, coalesce: 4 * o.LatencyBurst, maxDelay: o.LatencyMaxDelay, reps: 3})
-			}
-		}
-	}
-
-	highStripes := 0
-	for _, s := range o.SweepStripes {
-		if s > highStripes {
-			highStripes = s
 		}
 	}
 
 	total := 0
 	for _, c := range cells {
-		reps := c.reps
-		if reps == 0 {
-			reps = 1
-		}
-		total += reps * o.Trials
+		total += max(c.reps, 1) * o.Trials
 	}
 	done := 0
 	for _, c := range cells {
-		reps := c.reps
-		if reps == 0 {
-			reps = 1
-		}
-		for trial := 0; trial < reps*o.Trials; trial++ {
-			k := harness.Knobs{Stripes: c.stripes, Unbatched: c.unbatched, CoalesceCommits: c.coalesce, CoalesceMaxDelay: c.maxDelay}
-			if c.adaptive {
-				// Start deliberately wrong (one stripe, the old global
-				// table) and let the controller roam up to the sweep's
-				// best static count.
-				k.MinStripes, k.MaxStripes = 1, highStripes
-				// The adaptive cells run exactly as long as their static
-				// baselines, so the convergence transient must be short:
-				// a 16-commit window converges 1 -> 64 within ~100 of
-				// the ~10k commits each cell measures.
-				k.AdaptWindow = 16
-			}
-			var p Point
-			var err error
-			if c.orig {
-				passes := o.OrigPasses
-				if c.adaptive {
-					passes = o.AdaptiveOrigPasses
-				}
-				p, err = runOrigRing(c.engine, c.threads, k, passes, trial, o)
-			} else {
-				p, err = runCell(c.workload, c.engine, c.m, c.threads, k, trial, o)
-			}
+		for trial := 0; trial < max(c.reps, 1)*o.Trials; trial++ {
+			p, err := runCell(c, trial, o)
 			if err != nil {
 				return nil, fmt.Errorf("perf: %s %s/%s t=%d: %w", c.workload, c.engine, c.m, c.threads, err)
 			}
-			p.Adaptive = c.adaptive
-			p.Coalesce = c.coalesce
-			switch {
-			case c.lat:
-				rep.LatencySweep = append(rep.LatencySweep, p)
-			case c.coal:
-				rep.CoalesceSweep = append(rep.CoalesceSweep, p)
-			case c.adaptive:
-				rep.AdaptiveSweep = append(rep.AdaptiveSweep, p)
-			case c.orig:
-				rep.OrigSweep = append(rep.OrigSweep, p)
-			case c.sweep:
-				rep.StripeSweep = append(rep.StripeSweep, p)
-			default:
-				rep.Points = append(rep.Points, p)
-			}
+			rep.Points = append(rep.Points, p)
 			done++
 			if o.Progress != nil {
 				o.Progress(done, total, p)
 			}
 		}
 	}
-	rep.StripeVerdict = verdict(rep.StripeSweep, sweepWorkload, maxThreads, o.SweepStripes)
-	rep.OrigVerdict = origVerdict(rep.OrigSweep, o.SweepStripes)
-	rep.AdaptiveVerdict = adaptiveVerdict(rep, o, sweepWorkload, maxThreads, highStripes)
-	rep.CoalesceVerdict = coalesceVerdict(rep.CoalesceSweep, sweepWorkload, coalesceMaxK)
-	rep.LatencyVerdict = latencyVerdict(rep.LatencySweep, o)
+	for _, x := range exps {
+		rep.Verdicts = append(rep.Verdicts, x.judge(rep, o.Prior))
+	}
 	return rep, nil
 }
 
@@ -801,17 +404,15 @@ func Run(o Options) (*Report, error) {
 // sleeper's orec set over several registry shards and making unrelated
 // hand-offs wake it futilely — the storm the sharded registry localizes.
 // Token conservation is the workload's self-check.
-func runOrigRing(engine string, threads int, k harness.Knobs, passes, trial int, o Options) (Point, error) {
-	p := Point{Workload: "origring", Engine: engine, Mech: string(mech.RetryOrig), Threads: threads, Stripes: k.Stripes, Unbatched: k.Unbatched, Trial: trial}
-	sys, err := harness.NewSystemKnobs(engine, k)
+func runOrigRing(c cell, trial int) (Point, error) {
+	p := c.point(trial)
+	k := c.knobs
+	sys, err := harness.NewSystemKnobs(c.engine, k)
 	if err != nil {
 		return Point{}, err
 	}
-	n := threads
-	window := o.OrigWindow
-	if window > n {
-		window = n
-	}
+	n := c.threads
+	window := min(origWindow, n)
 	// Pick ring slots on pairwise-distinct orecs — and, when the table has
 	// enough stripes, pairwise-distinct stripes. Where a slot lands in the
 	// orec table is a function of its heap address, so without this
@@ -863,7 +464,7 @@ func runOrigRing(engine string, threads int, k harness.Knobs, passes, trial int,
 				thr := sys.NewThread()
 				defer thr.Detach()
 				next := (i + 1) % n
-				for pass := 0; pass < passes; pass++ {
+				for pass := 0; pass < c.ops; pass++ {
 					thr.Atomic(func(tx *tm.Tx) {
 						v := tx.Read(slots[i])
 						for j := 1; j < window; j++ {
@@ -887,212 +488,9 @@ func runOrigRing(engine string, threads int, k harness.Knobs, passes, trial int,
 	if left != tokens {
 		return Point{}, fmt.Errorf("origring: %d tokens left in the ring, want %d (lost or duplicated wakeup)", left, tokens)
 	}
-	p.Ops = uint64(n) * uint64(passes)
+	p.Ops = uint64(n) * uint64(c.ops)
 	fill(&p, sys, secs)
 	return p, nil
-}
-
-// origVerdict aggregates the Retry-Orig sweep at 8 goroutines (or the
-// lowest measured rung): {fewest stripes, unbatched} — the pre-sharding
-// implementation — versus {most stripes, batched}.
-func origVerdict(sweep []Point, stripes []int) *OrigVerdict {
-	if len(sweep) == 0 || len(stripes) < 2 {
-		return nil
-	}
-	low, high := stripes[0], stripes[0]
-	for _, s := range stripes {
-		if s < low {
-			low = s
-		}
-		if s > high {
-			high = s
-		}
-	}
-	threads := sweep[0].Threads
-	for _, p := range sweep {
-		if p.Threads == 8 {
-			threads = 8
-		}
-	}
-	agg := func(wantStripes int, wantUnbatched bool) (checks, signals, thru float64) {
-		var origChecks, wakeups, commits uint64
-		var thruSum float64
-		var cells int
-		for _, p := range sweep {
-			if p.Threads != threads || p.Stripes != wantStripes || p.Unbatched != wantUnbatched {
-				continue
-			}
-			origChecks += p.OrigShardChecks
-			wakeups += p.Wakeups
-			commits += p.Commits
-			thruSum += p.Throughput
-			cells++
-		}
-		if commits > 0 {
-			checks = float64(origChecks) / float64(commits)
-			signals = float64(wakeups) / float64(commits)
-		}
-		if cells > 0 {
-			thru = thruSum / float64(cells)
-		}
-		return
-	}
-	v := &OrigVerdict{
-		Workload:  "origring",
-		Threads:   threads,
-		Baseline:  fmt.Sprintf("%d stripe(s), unbatched", low),
-		Candidate: fmt.Sprintf("%d stripes, batched", high),
-	}
-	v.OrigChecksPerCommitBaseline, v.SignalsPerCommitBaseline, v.ThroughputBaseline = agg(low, true)
-	v.OrigChecksPerCommitCandidate, v.SignalsPerCommitCandidate, v.ThroughputCandidate = agg(high, false)
-	v.ChecksImproved = v.OrigChecksPerCommitCandidate < v.OrigChecksPerCommitBaseline
-	v.SignalsImproved = v.SignalsPerCommitCandidate <= v.SignalsPerCommitBaseline
-	v.Improved = v.ChecksImproved && v.SignalsImproved
-	return v
-}
-
-// adaptiveVerdict compares the adaptive sweep against the best static
-// configuration measured by the stripe and Retry-Orig sweeps, at the
-// acceptance rung (8 goroutines when measured, else the sweep's rung).
-// The adaptive numbers are full-run averages, convergence transient
-// included — the controller must not merely reach the right count, it
-// must reach it fast enough that the detour stays within 10%.
-func adaptiveVerdict(rep *Report, o Options, workload string, staticThreads, highStripes int) *AdaptiveVerdict {
-	if len(rep.AdaptiveSweep) == 0 {
-		return nil
-	}
-	threads := rep.AdaptiveSweep[0].Threads
-	for _, p := range rep.AdaptiveSweep {
-		if p.Threads == 8 {
-			threads = 8
-		}
-	}
-	if threads != staticThreads {
-		// No comparable static baseline was measured at this rung.
-		return nil
-	}
-	v := &AdaptiveVerdict{Threads: threads, StartStripes: 1, MaxStripes: highStripes}
-
-	// Buffer: wake checks per commit over the wakeup-bound cells (Retry
-	// and Await, all engines), static per stripe count vs adaptive.
-	bufStatic := func(stripes int) (float64, bool) {
-		var checks, commits uint64
-		for _, p := range rep.StripeSweep {
-			if p.Workload == workload && p.Threads == threads && p.Stripes == stripes {
-				checks += p.WakeChecks
-				commits += p.Commits
-			}
-		}
-		if commits == 0 {
-			return 0, false
-		}
-		return float64(checks) / float64(commits), true
-	}
-	bestBuf, haveBuf := 0.0, false
-	for _, s := range o.SweepStripes {
-		if r, ok := bufStatic(s); ok && (!haveBuf || r < bestBuf) {
-			bestBuf, v.BufferBestStaticStripes, haveBuf = r, s, true
-		}
-	}
-	var bufChecks, bufCommits uint64
-	for _, p := range rep.AdaptiveSweep {
-		if p.Workload == workload && p.Threads == threads {
-			bufChecks += p.WakeChecks
-			bufCommits += p.Commits
-		}
-	}
-	if haveBuf && bufCommits > 0 {
-		v.BufferChecksPerCommitBest = bestBuf
-		v.BufferChecksPerCommitAdap = float64(bufChecks) / float64(bufCommits)
-		v.BufferWithin10Pct = v.BufferChecksPerCommitAdap <= 1.10*bestBuf
-	}
-
-	// Retry-Orig ring: registry checks per commit, static batched cells
-	// per stripe count vs adaptive.
-	origStatic := func(stripes int) (float64, bool) {
-		var checks, commits uint64
-		for _, p := range rep.OrigSweep {
-			if p.Threads == threads && p.Stripes == stripes && !p.Unbatched {
-				checks += p.OrigShardChecks
-				commits += p.Commits
-			}
-		}
-		if commits == 0 {
-			return 0, false
-		}
-		return float64(checks) / float64(commits), true
-	}
-	bestOrig, haveOrig := 0.0, false
-	for _, s := range o.SweepStripes {
-		if r, ok := origStatic(s); ok && (!haveOrig || r < bestOrig) {
-			bestOrig, v.OrigBestStaticStripes, haveOrig = r, s, true
-		}
-	}
-	var origChecks, origCommits uint64
-	for _, p := range rep.AdaptiveSweep {
-		if p.Workload == "origring" && p.Threads == threads {
-			origChecks += p.OrigShardChecks
-			origCommits += p.Commits
-		}
-	}
-	if haveOrig && origCommits > 0 {
-		v.OrigChecksPerCommitBest = bestOrig
-		v.OrigChecksPerCommitAdap = float64(origChecks) / float64(origCommits)
-		v.OrigWithin10Pct = v.OrigChecksPerCommitAdap <= 1.10*bestOrig
-	}
-
-	v.Converged = (haveBuf && bufCommits > 0 && v.BufferWithin10Pct) &&
-		(haveOrig && origCommits > 0 && v.OrigWithin10Pct)
-	return v
-}
-
-// verdict aggregates the sweep's wakeup-scan work per commit at the low
-// and high stripe counts.
-func verdict(sweep []Point, workload string, threads int, stripes []int) *StripeVerdict {
-	if len(sweep) == 0 || len(stripes) < 2 {
-		return nil
-	}
-	low, high := stripes[0], stripes[0]
-	for _, s := range stripes {
-		if s < low {
-			low = s
-		}
-		if s > high {
-			high = s
-		}
-	}
-	rate := func(want int) float64 {
-		var checks, commits uint64
-		for _, p := range sweep {
-			if p.Workload == workload && p.Threads == threads && p.Stripes == want {
-				checks += p.WakeChecks
-				commits += p.Commits
-			}
-		}
-		if commits == 0 {
-			return 0
-		}
-		return float64(checks) / float64(commits)
-	}
-	v := &StripeVerdict{
-		Workload:             workload,
-		Threads:              threads,
-		LowStripes:           low,
-		HighStripes:          high,
-		WakeupsPerCommitLow:  rate(low),
-		WakeupsPerCommitHigh: rate(high),
-	}
-	v.Improved = v.WakeupsPerCommitHigh < v.WakeupsPerCommitLow
-	return v
-}
-
-func hasWorkload(ws []string, w string) bool {
-	for _, x := range ws {
-		if x == w {
-			return true
-		}
-	}
-	return false
 }
 
 func validThreads(workload string, threads int) bool {
@@ -1106,20 +504,20 @@ func validThreads(workload string, threads int) bool {
 	return b.ValidThreads(threads)
 }
 
-func runCell(workload, engine string, m mech.Mechanism, threads int, k harness.Knobs, trial int, o Options) (Point, error) {
-	if workload == "buffer" {
-		return runBuffer(engine, m, threads, k, trial, o)
+func runCell(c cell, trial int, o Options) (Point, error) {
+	switch {
+	case c.workload == "buffer":
+		return runBuffer(c, trial, o)
+	case c.workload == "origring":
+		return runOrigRing(c, trial)
+	case c.workload == "tightloop":
+		return runTightloop(c, trial)
+	case c.workload == "tightloop/idle":
+		return runTightloopIdle(c, trial)
+	case strings.HasPrefix(c.workload, "parsec/"):
+		return runParsec(c, trial, o)
 	}
-	if workload == "tightloop" {
-		return runTightloop(engine, threads, k, trial, o)
-	}
-	if workload == "tightloop/idle" {
-		return runTightloopIdle(engine, threads, k, trial, o)
-	}
-	if strings.HasPrefix(workload, "parsec/") {
-		return runParsec(strings.TrimPrefix(workload, "parsec/"), engine, m, threads, k, trial, o)
-	}
-	return Point{}, fmt.Errorf("unknown workload %q", workload)
+	return Point{}, fmt.Errorf("unknown workload %q", c.workload)
 }
 
 // fill finalizes a point from the (possibly nil, for Pthreads) system's
@@ -1175,8 +573,9 @@ func fill(p *Point, sys *tm.System, secs float64) {
 // producer/consumer systems — the structure whose post-commit wakeups the
 // stripe index localizes. A lone goroutine alternates put/get and never
 // blocks; an odd straggler alternates on lane 0.
-func runBuffer(engine string, m mech.Mechanism, threads int, k harness.Knobs, trial int, o Options) (Point, error) {
-	p := Point{Workload: "buffer", Engine: engine, Mech: string(m), Threads: threads, Stripes: k.Stripes, Trial: trial}
+func runBuffer(c cell, trial int, o Options) (Point, error) {
+	p := c.point(trial)
+	m, threads := c.m, c.threads
 	ops := o.BufferOps
 	lanes := threads / 2
 	if lanes < 1 {
@@ -1208,7 +607,7 @@ func runBuffer(engine string, m mech.Mechanism, threads int, k harness.Knobs, tr
 		return p, nil
 	}
 
-	sys, err := harness.NewSystemKnobs(engine, k)
+	sys, err := harness.NewSystemKnobs(c.engine, c.knobs)
 	if err != nil {
 		return Point{}, err
 	}
@@ -1239,7 +638,7 @@ func runBuffer(engine string, m mech.Mechanism, threads int, k harness.Knobs, tr
 }
 
 // runTightloop measures the tight-loop producer workload of the coalesce
-// sweep: per lane, a producer commits back-to-back increments of the
+// experiment: per lane, a producer commits back-to-back increments of the
 // lane's counter — it never blocks, so nothing but the coalescing bounds
 // ever interrupts its commit stream — while a consumer sleeps in WaitPred
 // until a full batch has accumulated and then claims it. WaitPred waiters
@@ -1248,18 +647,18 @@ func runBuffer(engine string, m mech.Mechanism, threads int, k harness.Knobs, tr
 // sleeping consumer; coalescing divides that by the flush interval. The
 // consumer's own commits exercise the block-bound flush. Self-check:
 // every produced unit is consumed (all counters end at zero).
-func runTightloop(engine string, threads int, k harness.Knobs, trial int, o Options) (Point, error) {
-	p := Point{Workload: "tightloop", Engine: engine, Mech: string(mech.WaitPred), Threads: threads, Stripes: k.Stripes, Trial: trial}
-	if threads < 2 {
-		return Point{}, fmt.Errorf("tightloop: need at least 2 threads (have %d)", threads)
+func runTightloop(c cell, trial int) (Point, error) {
+	p := c.point(trial)
+	if c.threads < 2 {
+		return Point{}, fmt.Errorf("tightloop: need at least 2 threads (have %d)", c.threads)
 	}
-	sys, err := harness.NewSystemKnobs(engine, k)
+	sys, err := harness.NewSystemKnobs(c.engine, c.knobs)
 	if err != nil {
 		return Point{}, err
 	}
-	lanes := threads / 2
-	batch := uint64(o.TightloopBatch)
-	ops := uint64(o.TightloopOps)
+	lanes := c.threads / 2
+	batch := uint64(tightloopBatch)
+	ops := uint64(c.ops)
 	if r := ops % batch; r != 0 {
 		ops += batch - r // consumers claim whole batches
 	}
@@ -1343,7 +742,7 @@ func (r *latencyRecorder) stats() (n uint64, p50, p99, max int64) {
 // runTightloopIdle measures one wake-latency cell: the tight-loop pair,
 // restructured so the producer goes idle with its wake scan still pending
 // — the exact shape of the stranding bug the age bound fixes. Per round,
-// the producer commits LatencyBurst-1 increments (the consumer reads the
+// the producer commits latencyBurst-1 increments (the consumer reads the
 // partial count and sleeps in WaitPred), pauses a moment so the consumer
 // is asleep, commits the final increment that makes the predicate true —
 // the scan is deferred, CoalesceCommits being four bursts deep — and then
@@ -1353,23 +752,23 @@ func (r *latencyRecorder) stats() (n uint64, p50, p99, max int64) {
 // so only the CoalesceMaxDelay backstop can wake the consumer; the timed
 // sleep-to-signal latency is the age bound's enforcement latency plus
 // scheduling slack. Self-check: every produced unit is consumed.
-func runTightloopIdle(engine string, threads int, k harness.Knobs, trial int, o Options) (Point, error) {
-	p := Point{Workload: "tightloop/idle", Engine: engine, Mech: string(mech.WaitPred), Threads: threads, MaxDelayNs: int64(k.CoalesceMaxDelay), Trial: trial}
-	if threads < 2 {
-		return Point{}, fmt.Errorf("tightloop/idle: need at least 2 threads (have %d)", threads)
+func runTightloopIdle(c cell, trial int) (Point, error) {
+	p := c.point(trial)
+	if c.threads < 2 {
+		return Point{}, fmt.Errorf("tightloop/idle: need at least 2 threads (have %d)", c.threads)
 	}
-	if k.CoalesceMaxDelay <= 0 || k.CoalesceCommits <= o.LatencyBurst {
-		return Point{}, fmt.Errorf("tightloop/idle: needs CoalesceMaxDelay > 0 and CoalesceCommits > LatencyBurst (the cell deadlocks without the age backstop, by design)")
+	if c.knobs.CoalesceMaxDelay <= 0 || c.knobs.CoalesceCommits <= latencyBurst {
+		return Point{}, fmt.Errorf("tightloop/idle: needs CoalesceMaxDelay > 0 and CoalesceCommits > latencyBurst (the cell deadlocks without the age backstop, by design)")
 	}
-	sys, err := harness.NewSystemKnobs(engine, k)
+	sys, err := harness.NewSystemKnobs(c.engine, c.knobs)
 	if err != nil {
 		return Point{}, err
 	}
 	rec := &latencyRecorder{}
 	sys.WakeLatency = rec.record
-	lanes := threads / 2
-	burst := uint64(o.LatencyBurst)
-	rounds := o.LatencyRounds
+	lanes := c.threads / 2
+	burst := uint64(latencyBurst)
+	rounds := c.ops
 	counts := make([]uint64, lanes)
 	var wg sync.WaitGroup
 	secs := runTimed(func() {
@@ -1431,124 +830,6 @@ func runTightloopIdle(engine string, threads int, k harness.Knobs, trial int, o 
 	return p, nil
 }
 
-// latencyVerdict aggregates the wake-latency sweep at 8 goroutines (or
-// its highest rung). The quantiles take the worst cell rather than
-// pooling samples, and the throughput guard stays vacuously true here —
-// cmd/tmbench fills it from the prior report's coalesce verdict and
-// recomputes Holds.
-func latencyVerdict(sweep []Point, o Options) *LatencyVerdict {
-	if len(sweep) == 0 {
-		return nil
-	}
-	threads := 0
-	for _, p := range sweep {
-		if p.Threads > threads {
-			threads = p.Threads
-		}
-	}
-	v := &LatencyVerdict{
-		Workload:              "tightloop/idle",
-		Threads:               threads,
-		K:                     4 * o.LatencyBurst,
-		MaxDelayNs:            int64(o.LatencyMaxDelay),
-		SlackNs:               int64(o.LatencySlack),
-		ThroughputWithin10Pct: true,
-	}
-	for _, p := range sweep {
-		if p.Threads != threads {
-			continue
-		}
-		v.Sleeps += p.WakeSleeps
-		if p.WakeLatencyP50Ns > v.P50Ns {
-			v.P50Ns = p.WakeLatencyP50Ns
-		}
-		if p.WakeLatencyP99Ns > v.P99Ns {
-			v.P99Ns = p.WakeLatencyP99Ns
-		}
-		if p.WakeLatencyMaxNs > v.MaxNs {
-			v.MaxNs = p.WakeLatencyMaxNs
-		}
-	}
-	v.WithinBound = v.Sleeps > 0 && v.P99Ns <= v.MaxDelayNs+v.SlackNs
-	v.Holds = v.WithinBound && v.ThroughputWithin10Pct
-	return v
-}
-
-// coalesceVerdict aggregates the coalesce sweep at 8 goroutines (or the
-// sweep's rung), pooled across engines and mechanisms per workload: the
-// tight loop must get cheaper at the highest K, the blocking workloads
-// must stay within noise (10%) of their K=0 scan rates.
-func coalesceVerdict(sweep []Point, workload string, maxK int) *CoalesceVerdict {
-	if len(sweep) == 0 || maxK == 0 {
-		return nil
-	}
-	// Judge at the highest measured rung — the most contended one —
-	// matching the "highest K" convention of the knob axis.
-	threads := 0
-	for _, p := range sweep {
-		if p.Threads > threads {
-			threads = p.Threads
-		}
-	}
-	type agg struct {
-		checks, orig, commits uint64
-		thru                  float64
-		cells                 int
-	}
-	pool := func(workload string, k int) agg {
-		var a agg
-		for _, p := range sweep {
-			if p.Workload != workload || p.Threads != threads || p.Coalesce != k {
-				continue
-			}
-			a.checks += p.WakeChecks
-			a.orig += p.OrigShardChecks
-			a.commits += p.Commits
-			a.thru += p.Throughput
-			a.cells++
-		}
-		return a
-	}
-	rate := func(num, den uint64) float64 {
-		if den == 0 {
-			return 0
-		}
-		return float64(num) / float64(den)
-	}
-	v := &CoalesceVerdict{Threads: threads, K: maxK}
-
-	tOff, tOn := pool("tightloop", 0), pool("tightloop", maxK)
-	v.TightloopChecksPerCommitOff = rate(tOff.checks, tOff.commits)
-	v.TightloopChecksPerCommitOn = rate(tOn.checks, tOn.commits)
-	if tOff.cells > 0 {
-		v.TightloopThroughputOff = tOff.thru / float64(tOff.cells)
-	}
-	if tOn.cells > 0 {
-		v.TightloopThroughputOn = tOn.thru / float64(tOn.cells)
-	}
-	v.TightloopImproved = tOn.commits > 0 && tOff.commits > 0 &&
-		v.TightloopChecksPerCommitOn < v.TightloopChecksPerCommitOff
-
-	// A guard whose cells were filtered out of the sweep (-workloads
-	// without buffer, -engines without an STM engine) is not applicable,
-	// not a regression: it passes vacuously so a narrowed run's tightloop
-	// improvement is not reported as "no improvement".
-	bOff, bOn := pool(workload, 0), pool(workload, maxK)
-	v.BufferChecksPerCommitOff = rate(bOff.checks, bOff.commits)
-	v.BufferChecksPerCommitOn = rate(bOn.checks, bOn.commits)
-	v.BufferNoRegression = bOn.commits == 0 || bOff.commits == 0 ||
-		v.BufferChecksPerCommitOn <= 1.10*v.BufferChecksPerCommitOff
-
-	oOff, oOn := pool("origring", 0), pool("origring", maxK)
-	v.OrigChecksPerCommitOff = rate(oOff.orig, oOff.commits)
-	v.OrigChecksPerCommitOn = rate(oOn.orig, oOn.commits)
-	v.OrigNoRegression = oOn.commits == 0 || oOff.commits == 0 ||
-		v.OrigChecksPerCommitOn <= 1.10*v.OrigChecksPerCommitOff
-
-	v.Improved = v.TightloopImproved && v.BufferNoRegression && v.OrigNoRegression
-	return v
-}
-
 // forBufferWorkers launches the worker topology: lanes producer/consumer
 // pairs plus, when threads is odd (including 1), one alternator that both
 // produces and consumes on lane 0 and therefore never deadlocks.
@@ -1602,16 +883,16 @@ func referenceFor(b *parsecsim.Benchmark, scale int) uint64 {
 
 // runParsec measures one PARSEC concurrency skeleton and verifies its
 // checksum against the sequential reference.
-func runParsec(name, engine string, m mech.Mechanism, threads int, knobs harness.Knobs, trial int, o Options) (Point, error) {
-	b, err := parsecsim.ByName(name)
+func runParsec(c cell, trial int, o Options) (Point, error) {
+	b, err := parsecsim.ByName(strings.TrimPrefix(c.workload, "parsec/"))
 	if err != nil {
 		return Point{}, err
 	}
-	p := Point{Workload: "parsec/" + name, Engine: engine, Mech: string(m), Threads: threads, Stripes: knobs.Stripes, Trial: trial}
-	k := &parsecsim.Kit{Mech: m}
+	p := c.point(trial)
+	k := &parsecsim.Kit{Mech: c.m}
 	var sys *tm.System
-	if m != mech.Pthreads {
-		sys, err = harness.NewSystemKnobs(engine, knobs)
+	if c.m != mech.Pthreads {
+		sys, err = harness.NewSystemKnobs(c.engine, c.knobs)
 		if err != nil {
 			return Point{}, err
 		}
@@ -1619,7 +900,7 @@ func runParsec(name, engine string, m mech.Mechanism, threads int, knobs harness
 	}
 	want := referenceFor(b, o.Scale)
 	var cs uint64
-	secs := runTimed(func() { cs = b.Run(k, threads, o.Scale) })
+	secs := runTimed(func() { cs = b.Run(k, c.threads, o.Scale) })
 	if cs != want {
 		return Point{}, fmt.Errorf("checksum %x deviates from sequential reference %x", cs, want)
 	}

@@ -71,6 +71,9 @@ func TestUnknownWorkloadRejectedUpFront(t *testing.T) {
 	if _, err := Run(Options{SweepStripes: []int{3}}); err == nil {
 		t.Error("non-power-of-two sweep stripes accepted; want an error")
 	}
+	if _, err := Run(Options{Experiments: []string{"stripes"}}); err == nil {
+		t.Error("unknown experiment accepted; want an error")
+	}
 }
 
 // TestParsecBaselineHasThroughput: the Pthreads baseline rows must carry a
@@ -116,6 +119,25 @@ func TestRetryOrigExcludedFromHardwareEngines(t *testing.T) {
 	}
 }
 
+// verdictOf returns the named experiment's verdict and the named check
+// within it, failing the test when either is missing.
+func verdictOf(t *testing.T, rep *Report, exp, check string) (Verdict, Check) {
+	t.Helper()
+	for _, v := range rep.Verdicts {
+		if v.Name != exp {
+			continue
+		}
+		for _, c := range v.Checks {
+			if c.Name == check {
+				return v, c
+			}
+		}
+		t.Fatalf("%s verdict has no %q check: %+v", exp, check, v)
+	}
+	t.Fatalf("run produced no %s verdict", exp)
+	return Verdict{}, Check{}
+}
+
 // TestOrigSweepReducesRegistryScan is the sharded Retry-Orig registry's
 // acceptance criterion as a regression test: on the token ring at 8
 // goroutines, the 64-shard registry must examine fewer sleeping entries
@@ -124,10 +146,6 @@ func TestRetryOrigExcludedFromHardwareEngines(t *testing.T) {
 // every sleeping worker in the ring; with 64 shards it scans only the
 // entries registered on the stripes its two written slots cover.
 func TestOrigSweepReducesRegistryScan(t *testing.T) {
-	passes := 300
-	if testing.Short() {
-		passes = 60
-	}
 	rep, err := Run(Options{
 		Seed:         1,
 		Threads:      []int{2},
@@ -135,17 +153,19 @@ func TestOrigSweepReducesRegistryScan(t *testing.T) {
 		Mechs:        []mech.Mechanism{mech.Retry},
 		Workloads:    []string{"buffer"},
 		BufferOps:    20,
-		OrigThreads:  []int{8},
-		OrigPasses:   passes,
+		Experiments:  []string{"retry-orig"},
+		Quick:        true,
 		SweepStripes: []int{1, 64},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.OrigSweep) != 80 { // 2 engines × 2 stripe counts × {batched, unbatched} × 10 pooled reps
-		t.Fatalf("orig sweep has %d points, want 80", len(rep.OrigSweep))
-	}
-	for _, p := range rep.OrigSweep {
+	ring := 0
+	for _, p := range rep.Points {
+		if p.Experiment != "retry-orig" || p.Threads != 8 {
+			continue
+		}
+		ring++
 		if p.Deschedules == 0 {
 			t.Errorf("origring %s stripes=%d unbatched=%v: ring never slept", p.Engine, p.Stripes, p.Unbatched)
 		}
@@ -153,19 +173,18 @@ func TestOrigSweepReducesRegistryScan(t *testing.T) {
 			t.Errorf("origring %s stripes=%d: unbatched point reports %d batched signals", p.Engine, p.Stripes, p.BatchedSignals)
 		}
 	}
-	v := rep.OrigVerdict
-	if v == nil {
-		t.Fatal("orig sweep produced no verdict")
+	if ring != 80 { // 2 engines × 2 stripe counts × {batched, unbatched} × 10 pooled reps
+		t.Fatalf("retry-orig experiment has %d points at 8 goroutines, want 80", ring)
 	}
+	v, c := verdictOf(t, rep, "retry-orig", "sharded registry scan")
 	if v.Threads != 8 {
 		t.Fatalf("verdict at %d threads, want 8", v.Threads)
 	}
-	if v.OrigChecksPerCommitBaseline == 0 {
-		t.Fatalf("single-shard baseline measured no registry checks at all: %+v", v)
+	if c.Baseline == 0 {
+		t.Fatalf("single-shard baseline measured no registry checks at all: %+v", c)
 	}
-	if !v.ChecksImproved {
-		t.Errorf("registry checks per commit did not improve: baseline %.4f vs sharded %.4f",
-			v.OrigChecksPerCommitBaseline, v.OrigChecksPerCommitCandidate)
+	if !c.Held {
+		t.Errorf("registry checks per commit did not improve: baseline %.4f vs sharded %.4f", c.Baseline, c.Candidate)
 	}
 }
 
@@ -194,62 +213,57 @@ func TestDiffReportsSharedCells(t *testing.T) {
 	}
 }
 
-// TestStripeSweepReducesWakeScan is the PR's acceptance criterion as a
-// regression test: on the lane-partitioned bounded buffer at 8
-// goroutines, the 64-stripe wakeup index must visit fewer waiters per
-// commit than the 1-stripe (global) scan. The effect is structural — with
-// one stripe every commit scans every sleeping waiter in every lane, with
-// 64 stripes it scans only its own lane's — so the inequality holds far
-// from the noise floor.
-// TestCoalesceSweepReducesTightloopScan pins the coalesce sweep's
+// TestCoalesceSweepReducesTightloopScan pins the coalesce experiment's
 // machinery on a small configuration: the tight-loop producer workload
 // must pay measurably fewer wake checks per commit with the scans
 // coalesced, the workload's token-conservation self-check must hold, and
 // the verdict must carry both sides.
 func TestCoalesceSweepReducesTightloopScan(t *testing.T) {
-	ops := 1500
-	if testing.Short() {
-		ops = 400
-	}
 	rep, err := Run(Options{
-		Seed:            1,
-		Threads:         []int{1},
-		Engines:         []string{"eager", "lazy"},
-		Mechs:           []mech.Mechanism{mech.Retry},
-		Workloads:       []string{"buffer"},
-		BufferOps:       50,
-		CoalesceThreads: []int{2},
-		CoalesceKs:      []int{0, 8},
-		TightloopOps:    ops,
-		OrigPasses:      50,
+		Seed:        1,
+		Threads:     []int{1},
+		Engines:     []string{"eager", "lazy"},
+		Mechs:       []mech.Mechanism{mech.Retry},
+		Workloads:   []string{"buffer"},
+		BufferOps:   50,
+		Experiments: []string{"coalesce"},
+		Quick:       true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.CoalesceSweep) == 0 {
-		t.Fatal("coalesce sweep produced no points")
-	}
-	for _, p := range rep.CoalesceSweep {
-		if p.Workload == "tightloop" && p.Commits == 0 {
+	tight := 0
+	for _, p := range rep.Points {
+		if p.Workload != "tightloop" {
+			continue
+		}
+		tight++
+		if p.Commits == 0 {
 			t.Errorf("tightloop %s coalesce=%d: no commits", p.Engine, p.Coalesce)
 		}
-		if p.Coalesce > 0 && p.Workload == "tightloop" && p.CoalescedScans == 0 {
+		if p.Coalesce > 0 && p.CoalescedScans == 0 {
 			t.Errorf("tightloop %s coalesce=%d: no scans were deferred", p.Engine, p.Coalesce)
 		}
 	}
-	v := rep.CoalesceVerdict
-	if v == nil {
-		t.Fatal("sweep produced no coalesce verdict")
+	if tight == 0 {
+		t.Fatal("coalesce experiment produced no tightloop points")
 	}
-	if v.TightloopChecksPerCommitOff == 0 {
-		t.Fatalf("uncoalesced tightloop measured no wake checks at all: %+v", v)
+	_, c := verdictOf(t, rep, "coalesce", "tightloop coalesced")
+	if c.Baseline == 0 {
+		t.Fatalf("uncoalesced tightloop measured no wake checks at all: %+v", c)
 	}
-	if !v.TightloopImproved {
-		t.Errorf("tightloop wake checks per commit did not improve: %.4f off vs %.4f at K=%d",
-			v.TightloopChecksPerCommitOff, v.TightloopChecksPerCommitOn, v.K)
+	if !c.Held {
+		t.Errorf("tightloop wake checks per commit did not improve: %.4f off vs %.4f coalesced", c.Baseline, c.Candidate)
 	}
 }
 
+// TestStripeSweepReducesWakeScan is the sharded wakeup index's acceptance
+// criterion as a regression test: on the lane-partitioned bounded buffer
+// at 8 goroutines, the 64-stripe wakeup index must visit fewer waiters
+// per commit than the 1-stripe (global) scan. The effect is structural —
+// with one stripe every commit scans every sleeping waiter in every lane,
+// with 64 stripes it scans only its own lane's — so the inequality holds
+// far from the noise floor.
 func TestStripeSweepReducesWakeScan(t *testing.T) {
 	ops := 2000
 	if testing.Short() {
@@ -257,24 +271,22 @@ func TestStripeSweepReducesWakeScan(t *testing.T) {
 	}
 	rep, err := Run(Options{
 		Seed:         1,
-		Threads:      []int{8},
+		Threads:      []int{1},
 		Mechs:        []mech.Mechanism{mech.Retry, mech.Await},
 		Workloads:    []string{"buffer"},
 		BufferOps:    ops,
+		Experiments:  []string{"stripe"},
 		SweepStripes: []int{1, 64},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := rep.StripeVerdict
-	if v == nil {
-		t.Fatal("sweep produced no stripe verdict")
+	_, c := verdictOf(t, rep, "stripe", "sharded scan")
+	if c.Baseline == 0 {
+		t.Fatalf("1-stripe sweep measured no wakeup checks at all (commits missing?): %+v", c)
 	}
-	if v.WakeupsPerCommitLow == 0 {
-		t.Fatalf("1-stripe sweep measured no wakeup checks at all (commits missing?): %+v", v)
-	}
-	if !v.Improved {
-		t.Errorf("wakeup checks per commit did not improve: %.4f @ %d stripes vs %.4f @ %d stripes",
-			v.WakeupsPerCommitLow, v.LowStripes, v.WakeupsPerCommitHigh, v.HighStripes)
+	if !c.Held {
+		t.Errorf("wakeup checks per commit did not improve: %.4f @ %s vs %.4f @ %s",
+			c.Baseline, c.BaselineCells, c.Candidate, c.CandidateCells)
 	}
 }

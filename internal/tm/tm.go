@@ -685,18 +685,6 @@ type Config struct {
 	// window (default 64: small enough that converging from one stripe to
 	// sixty-four costs only a few hundred commits of transient).
 	AdaptWindow int
-	// AdaptGrow is the futile-scan threshold above which the controller
-	// doubles the stripe count: futile wakeup-scan visits (wake checks
-	// plus Retry-Orig registry checks that woke nobody) per writer commit
-	// in the window. Default 0.005 — one wasted visit per 200 commits.
-	AdaptGrow float64
-	// AdaptShrink is the total-scan threshold below which a window counts
-	// as quiet (default 0.0005): only after several consecutive quiet
-	// windows — near-zero waiter visits per commit, useful or not — does
-	// the controller halve the stripe count. The asymmetry (grow on one
-	// bad window, shrink on sustained silence) plus the gap between the
-	// thresholds is the hysteresis that prevents oscillation.
-	AdaptShrink float64
 	// ResizeEvery, with ResizeSchedule, replaces the adaptive policy with
 	// a deterministic forced-resize schedule: every ResizeEvery writer
 	// commits the controller resizes to the next count in ResizeSchedule,
@@ -830,12 +818,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdaptWindow == 0 {
 		c.AdaptWindow = 64
-	}
-	if c.AdaptGrow == 0 {
-		c.AdaptGrow = 0.005
-	}
-	if c.AdaptShrink == 0 {
-		c.AdaptShrink = 0.0005
 	}
 	if c.HTMReadCap == 0 {
 		c.HTMReadCap = 4096

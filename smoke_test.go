@@ -140,9 +140,9 @@ func TestSmokeCommands(t *testing.T) {
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-read-mostly"}, "OK: every engine x mechanism pair matched"},
 		{"tmcheck", []string{"-n", "2", "-seed", "1", "-phases", "6:counters,6:readmostly,4:map"}, "OK: every engine x mechanism pair matched"},
 		{"tmbench", []string{"-quick", "-threads", "1,2", "-workloads", "buffer,parsec/x264", "-out", benchOut}, "retry-orig sweep"},
-		{"tmbench", []string{"-quick", "-threads", "1,2", "-workloads", "buffer", "-mechs", "retry,await", "-orig-threads", "2", "-adaptive-threads", "2", "-no-baseline", "-out", benchOut}, "adaptive sweep"},
-		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-orig-threads", "2", "-adaptive-threads", "", "-coalesce-threads", "2", "-no-baseline", "-out", benchOut}, "coalesce sweep"},
-		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-orig-threads", "", "-adaptive-threads", "", "-coalesce-threads", "2", "-latency-threads", "2", "-max-delay", "10ms", "-no-baseline", "-diff", "", "-out", benchOut}, "latency verdict: HOLDS"},
+		{"tmbench", []string{"-quick", "-threads", "1,2", "-workloads", "buffer", "-mechs", "retry,await", "-experiments", "adaptive", "-no-baseline", "-out", benchOut}, "adaptive sweep"},
+		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-experiments", "coalesce", "-no-baseline", "-out", benchOut}, "coalesce sweep"},
+		{"tmbench", []string{"-quick", "-threads", "1", "-workloads", "buffer", "-mechs", "retry", "-experiments", "latency", "-max-delay", "10ms", "-no-baseline", "-diff", "", "-out", benchOut}, "latency verdict: HOLDS"},
 		{"tmcheck", []string{"-n", "1", "-seed", "2", "-inject"}, "OK: all injected violations caught"},
 		{"tmstress", []string{"-engine", "hybrid", "-mech", "retry", "-threads", "4", "-seconds", "0.3", "-cap", "2"}, "OK"},
 		{"boundedbuffer", []string{"-quick", "-engine", "eager", "-ops", "2048", "-trials", "1"}, "bounded buffer performance"},
